@@ -21,6 +21,7 @@ import statistics
 import struct
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ClockUnavailableError, ValidationFailureError
@@ -174,17 +175,20 @@ def _build_profile() -> str:
 def _make_sweep(
     method: EvalMethod,
     expression_id: int,
-    points: Sequence[tuple[float, float]],
-    bindings_list: Sequence[Bindings],
-) -> Callable[[], float]:
-    """One full pass over the points; returns the accumulated result sum.
+    blackbox_table: Mapping[int, Callable[[float, float], float]] | None = None,
+) -> Callable[[Sequence[tuple[float, float]], Sequence[Bindings]], float]:
+    """A pass over given points that returns the sum of the results.
 
-    Source preparation happens here, outside any timed region.
+    Source preparation (routine lookup, tree building, flattening) happens
+    here, outside any timed region. ``run_benchmark`` times passes over the
+    whole point set; ``cross_validate`` passes one point at a time, where
+    the sum is that point's value. ``blackbox_table`` substitutes the
+    black-box registry.
     """
     if method is EvalMethod.BLACKBOX:
-        fn = blackbox_lookup(expression_id)
+        fn = blackbox_table[expression_id] if blackbox_table else blackbox_lookup(expression_id)
 
-        def sweep() -> float:
+        def sweep(points, bindings_list) -> float:
             acc = 0.0
             for x, y in points:
                 acc += fn(x, y)
@@ -195,7 +199,7 @@ def _make_sweep(
     if method is EvalMethod.BINARY_TREE:
         tree = parse_to_tree(text)
 
-        def sweep() -> float:
+        def sweep(points, bindings_list) -> float:
             acc = 0.0
             for b in bindings_list:
                 acc += binary_value(tree, b)
@@ -205,7 +209,7 @@ def _make_sweep(
     if method is EvalMethod.NARY_TREE:
         tree = flatten(parse_to_tree(text))
 
-        def sweep() -> float:
+        def sweep(points, bindings_list) -> float:
             acc = 0.0
             for b in bindings_list:
                 acc += nary_value(tree, b)
@@ -214,7 +218,7 @@ def _make_sweep(
         return sweep
     if method is EvalMethod.STRING_PARSE:
 
-        def sweep() -> float:
+        def sweep(points, bindings_list) -> float:
             acc = 0.0
             for b in bindings_list:
                 acc += eval_string(text, DEFAULT_SYMBOLS, b)
@@ -293,7 +297,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     cells = []
     for method in cfg.methods:
         for expression_id in sorted(cfg.expressions):
-            sweep = _make_sweep(method, expression_id, points, bindings_list)
+            sweep = partial(_make_sweep(method, expression_id), points, bindings_list)
             windows, multiplier, checksum = _measure_cell(
                 sweep, clock, cfg.repetitions, min_window_s, tick_s
             )
@@ -384,14 +388,12 @@ def cross_validate(
 
     checks = []
     for expression_id in ids:
-        evaluators = [
-            (m, _make_sweep_point_fn(m, expression_id, blackbox_table)) for m in methods
-        ]
+        sweeps = [(m, _make_sweep(m, expression_id, blackbox_table)) for m in methods]
         worst_dev = 0.0
         worst_point = None
         worst_pair = None
         for (x, y), b in zip(points, bindings_list):
-            values = [(m, fn(x, y, b)) for m, fn in evaluators]
+            values = [(m, sweep(((x, y),), (b,))) for m, sweep in sweeps]
             for i in range(len(values)):
                 for j in range(i + 1, len(values)):
                     dev = _rel_deviation(values[i][1], values[j][1])
@@ -420,26 +422,6 @@ def cross_validate(
             f"deviation {w.max_rel_deviation:.3e} at point {w.worst_point}",
         )
     return report
-
-
-def _make_sweep_point_fn(
-    method: EvalMethod,
-    expression_id: int,
-    blackbox_table: Mapping[int, Callable[[float, float], float]] | None,
-) -> Callable[[float, float, Bindings], float]:
-    if method is EvalMethod.BLACKBOX:
-        fn = blackbox_table[expression_id] if blackbox_table else blackbox_lookup(expression_id)
-        return lambda x, y, b: fn(x, y)
-    text = EXPRESSIONS[expression_id]
-    if method is EvalMethod.BINARY_TREE:
-        tree = parse_to_tree(text)
-        return lambda x, y, b: binary_value(tree, b)
-    if method is EvalMethod.NARY_TREE:
-        tree = flatten(parse_to_tree(text))
-        return lambda x, y, b: nary_value(tree, b)
-    if method is EvalMethod.STRING_PARSE:
-        return lambda x, y, b: eval_string(text, DEFAULT_SYMBOLS, b)
-    raise ValueError(f"unknown method {method!r}")
 
 
 # --- report emission ---------------------------------------------------------

@@ -6,10 +6,11 @@ walker that folds sums and products over all children. A uniform
 ``evaluate`` dispatcher (which also covers direct string evaluation) serves
 the CLI and the benchmark harness.
 
-Each walker exists twice: a counting variant behind the public
-``eval_binary``/``eval_nary`` entry points, and a plain value variant for
-timed loops -- the counter increment would perturb exactly the per-node
-cost the benchmark measures, so the timed path must not carry it.
+There is one walker per tree form. ``binary_value`` and ``nary_value``
+return the bare value and are what timed loops call; ``eval_binary`` and
+``eval_nary`` wrap them in an ``EvalOutcome`` whose ``visits`` is the
+tree's node count. Every walk enters each node exactly once, so counting
+inside the walker would only add per-node cost to the path being timed.
 """
 
 import enum
@@ -24,7 +25,7 @@ from .errors import (
     UnknownFunctionIdError,
 )
 from .parser import DEFAULT_SYMBOLS, SymbolTable, interpret_string, tokenize
-from .tree import UNARY_FUNCTIONS, Bindings, ExprNode, OpKind, as_bindings
+from .tree import UNARY_FUNCTIONS, Bindings, ExprNode, OpKind, as_bindings, count_nodes
 
 
 class EvalMethod(enum.Enum):
@@ -41,6 +42,9 @@ class EvalOutcome:
     ``visits`` counts units of work: tree nodes entered for the tree
     methods, tokens consumed for direct string evaluation, and 0 for
     black-box calls (the routine's interior is opaque by definition).
+    When ``nan_on_fault`` turns a domain fault into NaN, the tree methods
+    still report the whole tree's node count, not the nodes entered before
+    the fault.
     """
 
     value: float
@@ -109,7 +113,7 @@ _NEGATE = OpKind.NEGATE
 
 
 def binary_value(node: ExprNode, bindings: Bindings) -> float:
-    """Evaluate a binary-form tree; no visit counting (timed path)."""
+    """Evaluate a binary-form tree; every sum and product has two children."""
     kind = node.kind
     if kind is _CONSTANT:
         return node.value
@@ -162,7 +166,7 @@ def nary_value(node: ExprNode, bindings: Bindings) -> float:
         return bindings[node.var_index]
     children = node.children
     if kind is _SUM:
-        ret = 0.0
+        ret = -0.0  # the exact additive identity: -0.0 + v is v, sign of zero included
         for child in children:
             ret += nary_value(child, bindings)
         return ret
@@ -196,122 +200,30 @@ def nary_value(node: ExprNode, bindings: Bindings) -> float:
         raise DomainFaultError(node.fn_name, (arg,)) from None
 
 
-def _binary_counted(node: ExprNode, bindings: Bindings, counter: list[int]) -> float:
-    counter[0] += 1
-    kind = node.kind
-    if kind is _CONSTANT:
-        return node.value
-    if kind is _VARIABLE:
-        return bindings[node.var_index]
-    children = node.children
-    if kind is _SUM:
-        try:
-            left, right = children
-        except ValueError:
-            raise ArityMismatchError(kind, len(children), "exactly 2 (binary form)") from None
-        return _binary_counted(left, bindings, counter) + _binary_counted(right, bindings, counter)
-    if kind is _PRODUCT:
-        try:
-            left, right = children
-        except ValueError:
-            raise ArityMismatchError(kind, len(children), "exactly 2 (binary form)") from None
-        return _binary_counted(left, bindings, counter) * _binary_counted(right, bindings, counter)
-    if kind is _DIFFERENCE:
-        return _binary_counted(children[0], bindings, counter) - _binary_counted(children[1], bindings, counter)
-    if kind is _QUOTIENT:
-        num = _binary_counted(children[0], bindings, counter)
-        den = _binary_counted(children[1], bindings, counter)
-        try:
-            return num / den
-        except ZeroDivisionError:
-            raise DomainFaultError("quotient", (num, den)) from None
-    if kind is _POWER:
-        base = _binary_counted(children[0], bindings, counter)
-        exponent = _binary_counted(children[1], bindings, counter)
-        try:
-            return math.pow(base, exponent)
-        except (ValueError, OverflowError):
-            raise DomainFaultError("power", (base, exponent)) from None
-    if kind is _NEGATE:
-        return -_binary_counted(children[0], bindings, counter)
-    arg = _binary_counted(children[0], bindings, counter)
+def _outcome(walker, tree: ExprNode, bindings, nan_on_fault: bool) -> EvalOutcome:
+    """Run ``walker`` over ``tree``; visits are the tree's node count."""
+    b = as_bindings(bindings)
     try:
-        return UNARY_FUNCTIONS[node.fn_name](arg)
-    except (ValueError, OverflowError):
-        raise DomainFaultError(node.fn_name, (arg,)) from None
-
-
-def _nary_counted(node: ExprNode, bindings: Bindings, counter: list[int]) -> float:
-    counter[0] += 1
-    kind = node.kind
-    if kind is _CONSTANT:
-        return node.value
-    if kind is _VARIABLE:
-        return bindings[node.var_index]
-    children = node.children
-    if kind is _SUM:
-        ret = 0.0
-        for child in children:
-            ret += _nary_counted(child, bindings, counter)
-        return ret
-    if kind is _PRODUCT:
-        ret = 1.0
-        for child in children:
-            ret *= _nary_counted(child, bindings, counter)
-        return ret
-    if kind is _DIFFERENCE:
-        return _nary_counted(children[0], bindings, counter) - _nary_counted(children[1], bindings, counter)
-    if kind is _QUOTIENT:
-        num = _nary_counted(children[0], bindings, counter)
-        den = _nary_counted(children[1], bindings, counter)
-        try:
-            return num / den
-        except ZeroDivisionError:
-            raise DomainFaultError("quotient", (num, den)) from None
-    if kind is _POWER:
-        base = _nary_counted(children[0], bindings, counter)
-        exponent = _nary_counted(children[1], bindings, counter)
-        try:
-            return math.pow(base, exponent)
-        except (ValueError, OverflowError):
-            raise DomainFaultError("power", (base, exponent)) from None
-    if kind is _NEGATE:
-        return -_nary_counted(children[0], bindings, counter)
-    arg = _nary_counted(children[0], bindings, counter)
-    try:
-        return UNARY_FUNCTIONS[node.fn_name](arg)
-    except (ValueError, OverflowError):
-        raise DomainFaultError(node.fn_name, (arg,)) from None
+        value = walker(tree, b)
+    except DomainFaultError:
+        if not nan_on_fault:
+            raise
+        value = math.nan
+    return EvalOutcome(value, count_nodes(tree))
 
 
 def eval_binary(tree: ExprNode, bindings, *, nan_on_fault: bool = False) -> EvalOutcome:
-    """Evaluate a binary-form tree, counting nodes visited.
+    """Evaluate a binary-form tree; ``visits`` is its node count.
 
     With ``nan_on_fault`` a domain fault yields NaN instead of raising, so
     batch loops are never interrupted by error handling.
     """
-    b = as_bindings(bindings)
-    counter = [0]
-    try:
-        value = _binary_counted(tree, b, counter)
-    except DomainFaultError:
-        if not nan_on_fault:
-            raise
-        value = math.nan
-    return EvalOutcome(value, counter[0])
+    return _outcome(binary_value, tree, bindings, nan_on_fault)
 
 
 def eval_nary(tree: ExprNode, bindings, *, nan_on_fault: bool = False) -> EvalOutcome:
-    """Evaluate any valid tree with the n-ary fold, counting nodes visited."""
-    b = as_bindings(bindings)
-    counter = [0]
-    try:
-        value = _nary_counted(tree, b, counter)
-    except DomainFaultError:
-        if not nan_on_fault:
-            raise
-        value = math.nan
-    return EvalOutcome(value, counter[0])
+    """Evaluate any valid tree with the n-ary fold; ``visits`` is its node count."""
+    return _outcome(nary_value, tree, bindings, nan_on_fault)
 
 
 def evaluate(

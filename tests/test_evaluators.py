@@ -17,6 +17,7 @@ from evalbench import (
     count_nodes,
     eval_binary,
     eval_nary,
+    eval_string,
     evaluate,
     flatten,
     generate_inputs,
@@ -118,6 +119,13 @@ def test_nan_on_fault_mode():
     assert math.isnan(eval_nary(tree, Bindings(), nan_on_fault=True).value)
     out = evaluate(EvalMethod.STRING_PARSE, "log(0-1)", Bindings(), nan_on_fault=True)
     assert math.isnan(out.value)
+    # visits is the whole tree's node count, though the walk stops at the
+    # fault after 3 of the 4 nodes
+    tree = make_op(OpKind.SUM, (tree, make_variable(0)))
+    for ev in (eval_binary, eval_nary):
+        outcome = ev(tree, Bindings((0.5,)), nan_on_fault=True)
+        assert math.isnan(outcome.value)
+        assert outcome.visits == count_nodes(tree) == 4
 
 
 def test_oracle_equivalence_all_functions():
@@ -168,13 +176,27 @@ def test_purity_bit_identical(tree, b):
     assert struct.pack("<d", first) == struct.pack("<d", second)
 
 
-@given(tree=trees(), b=bindings)
-def test_visits_equal_node_count(tree, b):
+@given(tree=trees(), binary_tree=trees(binary_only=True), b=bindings)
+def test_visits_equal_node_count(tree, binary_tree, b):
     try:
-        outcome = eval_nary(tree, b)
+        nary_outcome = eval_nary(tree, b)
+        binary_outcome = eval_binary(binary_tree, b)
     except DomainFaultError:
         assume(False)
-    assert outcome.visits == count_nodes(tree)
+    assert nary_outcome.visits == count_nodes(tree)
+    assert binary_outcome.visits == count_nodes(binary_tree)
+
+
+@pytest.mark.parametrize("text", ["-x+-y", "-x+-y+-x"])
+def test_sign_of_zero_agrees_across_methods(text):
+    b = Bindings((0.0, 0.0))
+    tree = parse_to_tree(text)
+    values = (
+        eval_binary(tree, b).value,
+        eval_nary(flatten(tree), b).value,
+        eval_string(text, bindings=b),
+    )
+    assert {struct.pack("<d", v) for v in values} == {struct.pack("<d", -0.0)}
 
 
 def test_evaluate_dispatch():
