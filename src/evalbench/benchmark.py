@@ -6,9 +6,11 @@ never timed; per-call string parsing is, because re-parsing is what the
 direct-evaluation strategy costs. Modern machines finish one 5000-point
 sweep in microseconds, far below clock resolution, so each measurement
 repeats whole sweeps until the process-CPU window reaches a minimum width
-and divides by the repeat count. The headline statistic is the median over
-repetitions (robust to scheduler noise); the minimum is the low-noise
-floor. Measurement is strictly single-threaded.
+and divides by the repeat count. Repetitions run in rounds that time every
+cell once, so a change of machine load reaches all methods alike. The
+headline statistic is the median over repetitions (robust to scheduler
+noise); the minimum is the low-noise floor. Measurement is strictly
+single-threaded.
 """
 
 import csv
@@ -246,14 +248,13 @@ def _estimate_tick(clock: Callable[[], float]) -> float:
     return min(ticks)
 
 
-def _measure_cell(
+def _calibrate(
     sweep: Callable[[], float],
     clock: Callable[[], float],
-    repetitions: int,
     min_window_s: float,
     tick_s: float,
-) -> tuple[list[float], int, float]:
-    """(repetition windows, loop multiplier, checksum) for one cell.
+) -> tuple[int, float]:
+    """(loop multiplier, checksum) for one cell.
 
     The calibration target is the configured minimum window, widened to a
     few clock ticks when the clock is coarse, so no window can quantize to
@@ -262,24 +263,20 @@ def _measure_cell(
     checksum = sweep()  # warm-up, untimed; its result is the cell checksum
     required = max(min_window_s, 3.0 * tick_s)
     multiplier = 1
-    while True:
-        start = clock()
-        acc = 0.0
-        for _ in range(multiplier):
-            acc += sweep()
-        window = clock() - start
-        if window >= required:
-            break
+    while _time_window(sweep, clock, multiplier) < required:
         multiplier *= 2
-    windows = []
-    for _ in range(repetitions):
-        start = clock()
-        acc = 0.0
-        for _ in range(multiplier):
-            acc += sweep()
-        windows.append(clock() - start)
+    return multiplier, checksum
+
+
+def _time_window(sweep: Callable[[], float], clock: Callable[[], float], multiplier: int) -> float:
+    """CPU seconds for ``multiplier`` back-to-back sweeps."""
+    start = clock()
+    acc = 0.0
+    for _ in range(multiplier):
+        acc += sweep()
+    window = clock() - start
     del acc  # sums are accumulated and consumed so the work cannot be elided
-    return windows, multiplier, checksum
+    return window
 
 
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
@@ -294,27 +291,38 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     input_hash = _hash_points(points)
     bindings_list = [Bindings(pair) for pair in points]
     min_window_s = cfg.min_window_ms / 1000.0
-    cells = []
+    prepared = []
     for method in cfg.methods:
         for expression_id in sorted(cfg.expressions):
             sweep = partial(_make_sweep(method, expression_id), points, bindings_list)
-            windows, multiplier, checksum = _measure_cell(
-                sweep, clock, cfg.repetitions, min_window_s, tick_s
+            multiplier, checksum = _calibrate(sweep, clock, min_window_s, tick_s)
+            prepared.append((method, expression_id, sweep, multiplier, checksum))
+    # Repetitions run in rounds that time every cell once, the methods of
+    # one expression back to back, with the order reversed on every other
+    # round: a load change on the machine then shifts every method's
+    # windows alike instead of the cells that happen to run during it.
+    order = sorted(range(len(prepared)), key=lambda i: prepared[i][1])
+    windows: list[list[float]] = [[] for _ in prepared]
+    for round_index in range(cfg.repetitions):
+        for i in order if round_index % 2 == 0 else reversed(order):
+            _, _, sweep, multiplier, _ = prepared[i]
+            windows[i].append(_time_window(sweep, clock, multiplier))
+    cells = []
+    for (method, expression_id, _, multiplier, checksum), cell_windows in zip(prepared, windows):
+        median_s = statistics.median(cell_windows) / multiplier
+        cells.append(
+            BenchCell(
+                method=method,
+                expression_id=expression_id,
+                median_s=median_s,
+                min_s=min(cell_windows) / multiplier,
+                evals_per_s=cfg.n_points / median_s,
+                loop_multiplier=multiplier,
+                total_window_s=sum(cell_windows),
+                checksum=checksum,
+                input_hash=input_hash,
             )
-            median_s = statistics.median(windows) / multiplier
-            cells.append(
-                BenchCell(
-                    method=method,
-                    expression_id=expression_id,
-                    median_s=median_s,
-                    min_s=min(windows) / multiplier,
-                    evals_per_s=cfg.n_points / median_s,
-                    loop_multiplier=multiplier,
-                    total_window_s=sum(windows),
-                    checksum=checksum,
-                    input_hash=input_hash,
-                )
-            )
+        )
     return BenchReport(
         cells=tuple(cells),
         n_points=cfg.n_points,

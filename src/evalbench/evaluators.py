@@ -11,6 +11,12 @@ return the bare value and are what timed loops call; ``eval_binary`` and
 ``eval_nary`` wrap them in an ``EvalOutcome`` whose ``visits`` is the
 tree's node count. Every walk enters each node exactly once, so counting
 inside the walker would only add per-node cost to the path being timed.
+
+Both walkers read the leaf operands of a sum or product in place rather
+than calling themselves on them. Sums and products are the operators that
+flattening merges, so the calls both forms would spend on those leaves are
+gone, and what separates the walkers is the one call the n-ary form saves
+per collapsed node.
 """
 
 import enum
@@ -125,13 +131,25 @@ def binary_value(node: ExprNode, bindings: Bindings) -> float:
             left, right = children
         except ValueError:
             raise ArityMismatchError(kind, len(children), "exactly 2 (binary form)") from None
-        return binary_value(left, bindings) + binary_value(right, bindings)
+        k = left.kind
+        a = (bindings[left.var_index] if k is _VARIABLE
+             else left.value if k is _CONSTANT else binary_value(left, bindings))
+        k = right.kind
+        b = (bindings[right.var_index] if k is _VARIABLE
+             else right.value if k is _CONSTANT else binary_value(right, bindings))
+        return a + b
     if kind is _PRODUCT:
         try:
             left, right = children
         except ValueError:
             raise ArityMismatchError(kind, len(children), "exactly 2 (binary form)") from None
-        return binary_value(left, bindings) * binary_value(right, bindings)
+        k = left.kind
+        a = (bindings[left.var_index] if k is _VARIABLE
+             else left.value if k is _CONSTANT else binary_value(left, bindings))
+        k = right.kind
+        b = (bindings[right.var_index] if k is _VARIABLE
+             else right.value if k is _CONSTANT else binary_value(right, bindings))
+        return a * b
     if kind is _DIFFERENCE:
         return binary_value(children[0], bindings) - binary_value(children[1], bindings)
     if kind is _QUOTIENT:
@@ -168,12 +186,16 @@ def nary_value(node: ExprNode, bindings: Bindings) -> float:
     if kind is _SUM:
         ret = -0.0  # the exact additive identity: -0.0 + v is v, sign of zero included
         for child in children:
-            ret += nary_value(child, bindings)
+            k = child.kind
+            ret += (bindings[child.var_index] if k is _VARIABLE
+                    else child.value if k is _CONSTANT else nary_value(child, bindings))
         return ret
     if kind is _PRODUCT:
         ret = 1.0
         for child in children:
-            ret *= nary_value(child, bindings)
+            k = child.kind
+            ret *= (bindings[child.var_index] if k is _VARIABLE
+                    else child.value if k is _CONSTANT else nary_value(child, bindings))
         return ret
     if kind is _DIFFERENCE:
         return nary_value(children[0], bindings) - nary_value(children[1], bindings)
