@@ -18,11 +18,16 @@ Two consumers share the grammar: ``parse_to_tree`` builds a binary-form
 ExprNode, while ``eval_string`` folds numeric values during parsing and
 never allocates a tree -- re-tokenizing and re-interpreting on every call
 is the whole point of the direct-evaluation strategy, so nothing is cached.
+
+A ``Token`` is a named tuple, built in the scanner straight from a plain
+tuple. The tree builder makes its nodes with the unchecked
+``tree._trusted_node`` (the ``tree`` docstring says why that is safe) and
+reuses one leaf per variable index within a parse.
 """
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainFaultError, ParseError, ParseErrorKind
 from .tree import (
@@ -30,10 +35,8 @@ from .tree import (
     Bindings,
     ExprNode,
     OpKind,
+    _trusted_node,
     as_bindings,
-    make_constant,
-    make_op,
-    make_variable,
 )
 
 
@@ -50,12 +53,15 @@ class TokenTag(enum.Enum):
     END = "end"
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     tag: TokenTag
     position: int
     value: float | None = None
     text: str | None = None
+
+
+# Builds a Token from a full 4-tuple, skipping the Python-level __new__.
+_new_token = tuple.__new__
 
 
 _SINGLE_CHAR = {
@@ -146,7 +152,7 @@ def tokenize(text: str) -> list[Token]:
             continue
         tag = _SINGLE_CHAR.get(c)
         if tag is not None:
-            tokens.append(Token(tag, i))
+            tokens.append(_new_token(Token, (tag, i, None, None)))
             i += 1
             continue
         if _is_digit(c):
@@ -172,16 +178,16 @@ def tokenize(text: str) -> list[Token]:
             value = float(text[start:i])
             if not math.isfinite(value):
                 raise ParseError(ParseErrorKind.BAD_NUMBER, start, "literal overflows a float")
-            tokens.append(Token(TokenTag.NUMBER, start, value=value))
+            tokens.append(_new_token(Token, (TokenTag.NUMBER, start, value, None)))
             continue
         if _is_ident_start(c):
             start = i
             while i < n and _is_ident_part(text[i]):
                 i += 1
-            tokens.append(Token(TokenTag.IDENT, start, text=text[start:i]))
+            tokens.append(_new_token(Token, (TokenTag.IDENT, start, None, text[start:i])))
             continue
         raise ParseError(ParseErrorKind.UNEXPECTED_TOKEN, i, f"unexpected character {c!r}")
-    tokens.append(Token(TokenTag.END, n))
+    tokens.append(_new_token(Token, (TokenTag.END, n, None, None)))
     return tokens
 
 
@@ -226,16 +232,22 @@ class _TokenStream:
 class _TreeBuilder(_TokenStream):
     """Recursive-descent walk producing a binary-form ExprNode."""
 
+    __slots__ = ("_variables",)
+
+    def __init__(self, tokens: list[Token], symbols: SymbolTable):
+        super().__init__(tokens, symbols)
+        self._variables: dict[int, ExprNode] = {}  # index -> this parse's leaf
+
     def expr(self) -> ExprNode:
         node = self.term()
         while True:
             tag = self.peek().tag
             if tag is TokenTag.PLUS:
                 self.advance()
-                node = make_op(OpKind.SUM, (node, self.term()))
+                node = _trusted_node(OpKind.SUM, None, None, None, (node, self.term()))
             elif tag is TokenTag.MINUS:
                 self.advance()
-                node = make_op(OpKind.DIFFERENCE, (node, self.term()))
+                node = _trusted_node(OpKind.DIFFERENCE, None, None, None, (node, self.term()))
             else:
                 return node
 
@@ -245,30 +257,30 @@ class _TreeBuilder(_TokenStream):
             tag = self.peek().tag
             if tag is TokenTag.STAR:
                 self.advance()
-                node = make_op(OpKind.PRODUCT, (node, self.factor()))
+                node = _trusted_node(OpKind.PRODUCT, None, None, None, (node, self.factor()))
             elif tag is TokenTag.SLASH:
                 self.advance()
-                node = make_op(OpKind.QUOTIENT, (node, self.factor()))
+                node = _trusted_node(OpKind.QUOTIENT, None, None, None, (node, self.factor()))
             else:
                 return node
 
     def factor(self) -> ExprNode:
         if self.peek().tag is TokenTag.MINUS:
             self.advance()
-            return make_op(OpKind.NEGATE, (self.factor(),))
+            return _trusted_node(OpKind.NEGATE, None, None, None, (self.factor(),))
         return self.power()
 
     def power(self) -> ExprNode:
         base = self.atom()
         if self.peek().tag is TokenTag.CARET:
             self.advance()
-            return make_op(OpKind.POWER, (base, self.factor()))
+            return _trusted_node(OpKind.POWER, None, None, None, (base, self.factor()))
         return base
 
     def atom(self) -> ExprNode:
         tok = self.advance()
         if tok.tag is TokenTag.NUMBER:
-            return make_constant(tok.value)
+            return _trusted_node(OpKind.CONSTANT, tok.value, None, None, ())
         if tok.tag is TokenTag.IDENT:
             name = tok.text
             if self.peek().tag is TokenTag.LPAREN:
@@ -281,13 +293,16 @@ class _TreeBuilder(_TokenStream):
                 arg = self.expr()
                 self.expect_rparen()
                 self._depth -= 1
-                return make_op(OpKind.UNARY_FN, (arg,), fn_name=name)
+                return _trusted_node(OpKind.UNARY_FN, None, None, name, (arg,))
             index = self._symbols.variable_index(name)
             if index is None:
                 raise ParseError(
                     ParseErrorKind.UNKNOWN_IDENTIFIER, tok.position, f"unknown variable {name!r}"
                 )
-            return make_variable(index)
+            leaf = self._variables.get(index)
+            if leaf is None:
+                leaf = self._variables[index] = _trusted_node(OpKind.VARIABLE, None, index, None, ())
+            return leaf
         if tok.tag is TokenTag.LPAREN:
             self._depth += 1
             node = self.expr()

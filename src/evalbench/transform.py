@@ -6,18 +6,26 @@ node over the whole operand sequence. Operand order is preserved exactly:
 floating-point addition is not associative, so reordering could change
 results. Difference, quotient and power are never collapsed; no algebraic
 rewriting (a-b into a + (-1*b), etc.) is performed.
+
+Nodes are built with the unchecked ``tree._trusted_node``: regrouping the
+children of a valid tree keeps every arity and function name valid.
 """
 
-from .tree import ASSOCIATIVE_KINDS, ExprNode, count_nodes, make_op
+from operator import is_
+
+from .tree import ASSOCIATIVE_KINDS, ExprNode, _trusted_node, count_nodes
 
 
 def flatten(tree: ExprNode) -> ExprNode:
-    """New tree, semantically equal to ``tree``, with no sum-under-sum or
-    product-under-product edge. Total on valid trees and idempotent."""
-    if not tree.children:
+    """Tree semantically equal to ``tree``, with no sum-under-sum or
+    product-under-product edge. Total on valid trees and idempotent.
+    A subtree that needs no change is returned as it is, shared with
+    ``tree``."""
+    children = tree.children
+    if not children:
         return tree
     kind = tree.kind
-    flat_children = [flatten(child) for child in tree.children]
+    flat_children = [flatten(child) for child in children]
     if kind in ASSOCIATIVE_KINDS:
         merged: list[ExprNode] = []
         for child in flat_children:
@@ -26,8 +34,10 @@ def flatten(tree: ExprNode) -> ExprNode:
                 merged.extend(child.children)
             else:
                 merged.append(child)
-        return make_op(kind, merged)
-    return make_op(kind, flat_children, fn_name=tree.fn_name)
+        flat_children = merged
+    if len(flat_children) == len(children) and all(map(is_, flat_children, children)):
+        return tree
+    return _trusted_node(kind, None, None, tree.fn_name, tuple(flat_children))
 
 
 def flatten_stats(tree: ExprNode) -> tuple[int, int]:

@@ -4,11 +4,21 @@ A tree node carries an operator kind, an optional constant value, an
 optional variable index and an ordered child tuple. Nodes are immutable
 after construction; the ``make_*`` constructors validate the arity rules
 once, so everything downstream may rely on them.
+
+Every node also stores its subtree's node count when it is built, so
+``count_nodes`` is O(1). A subtree shared by several parents counts once
+per occurrence, exactly as a walk would enter it.
+
+``_trusted_node`` builds a node with none of those checks. Only code whose
+own input rules already guarantee them may call it: the parser (the
+lexer rejects non-finite constants, the symbol table admits only known
+function names and the grammar fixes every arity) and ``flatten`` (which
+only regroups the children of valid nodes). Public callers use ``make_*``.
 """
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -69,6 +79,43 @@ class ExprNode:
     var_index: int | None = None
     fn_name: str | None = None
     children: tuple["ExprNode", ...] = ()
+    _size: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        size = 1
+        for child in self.children:
+            size += child._size
+        object.__setattr__(self, "_size", size)
+
+
+_new_node = object.__new__
+# Slot descriptors write past the frozen ``__setattr__`` without its lookup.
+_set_kind, _set_value, _set_var_index, _set_fn_name, _set_children, _set_size = (
+    ExprNode.__dict__[name].__set__
+    for name in ("kind", "value", "var_index", "fn_name", "children", "_size")
+)
+
+
+def _trusted_node(
+    kind: OpKind,
+    value: float | None,
+    var_index: int | None,
+    fn_name: str | None,
+    children: tuple[ExprNode, ...],
+) -> ExprNode:
+    """Node built without validation; the caller guarantees what ``make_*``
+    would check (see the module docstring)."""
+    node = _new_node(ExprNode)
+    _set_kind(node, kind)
+    _set_value(node, value)
+    _set_var_index(node, var_index)
+    _set_fn_name(node, fn_name)
+    _set_children(node, children)
+    size = 1
+    for child in children:
+        size += child._size
+    _set_size(node, size)
+    return node
 
 
 def make_constant(v: float) -> ExprNode:
@@ -175,14 +222,8 @@ def is_binary_form(tree: ExprNode) -> bool:
 
 
 def count_nodes(tree: ExprNode) -> int:
-    """Total node count, leaves included."""
-    total = 0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        total += 1
-        stack.extend(node.children)
-    return total
+    """Total node count, leaves included; stored on the node, so O(1)."""
+    return tree._size
 
 
 def variable_indices(tree: ExprNode) -> set[int]:

@@ -13,8 +13,10 @@ from evalbench import (
     ParseErrorKind,
     SymbolTable,
     blackbox_lookup,
+    count_nodes,
     eval_binary,
     eval_string,
+    flatten,
     is_binary_form,
     make_constant,
     make_op,
@@ -23,7 +25,7 @@ from evalbench import (
     tokenize,
 )
 from evalbench.parser import TokenTag
-from strategies import bindings, handbuilt_binary_tree, to_source, trees
+from strategies import bindings, handbuilt_binary_tree, has_like_chain, to_source, trees
 
 
 def tags(text):
@@ -200,6 +202,29 @@ def test_custom_symbol_table_round_trip():
     assert eval_string("u*v", table, (3.0, 4.0)) == 12.0
     tree = parse_to_tree("u*v", table)
     assert eval_binary(tree, Bindings((3.0, 4.0))).value == 12.0
+
+
+def _rebuild(node):
+    """Copy of ``node`` built bottom-up through the checked constructors."""
+    if node.kind is OpKind.CONSTANT:
+        return make_constant(node.value)
+    if node.kind is OpKind.VARIABLE:
+        return make_variable(node.var_index)
+    return make_op(node.kind, [_rebuild(c) for c in node.children], fn_name=node.fn_name)
+
+
+@given(tree=trees())
+def test_unchecked_construction_builds_only_valid_trees(tree):
+    # parse_to_tree and flatten build nodes without make_*'s checks; every
+    # tree they return must be one make_* accepts and rebuilds equal
+    parsed = parse_to_tree(to_source(tree), SymbolTable(("x", "y", "z")))
+    assert is_binary_form(parsed)
+    for flat in (flatten(parsed), flatten(tree)):
+        assert not has_like_chain(flat)
+    for built in (parsed, flatten(parsed), flatten(tree)):
+        rebuilt = _rebuild(built)
+        assert rebuilt == built
+        assert count_nodes(rebuilt) == count_nodes(built)
 
 
 @given(tree=trees(binary_only=True), b=bindings)

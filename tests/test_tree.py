@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from evalbench import (
     ArityMismatchError,
     Bindings,
+    ExprNode,
     LeafKindError,
     NonFiniteValueError,
     OpKind,
@@ -18,6 +19,7 @@ from evalbench import (
     make_constant,
     make_op,
     make_variable,
+    parse_to_tree,
 )
 from strategies import handbuilt_binary_tree, handbuilt_nary_tree
 
@@ -101,6 +103,16 @@ def test_count_nodes():
     assert count_nodes(handbuilt_binary_tree()) == 5
     assert count_nodes(handbuilt_nary_tree()) == 4
     assert count_nodes(make_constant(1.0)) == 1
+    # the count is stored by every construction route, counts a shared node
+    # once per occurrence and takes no part in equality or repr
+    x = make_variable(0)
+    direct = ExprNode(OpKind.SUM, children=(ExprNode(OpKind.PRODUCT, children=(x, x)), x))
+    assert count_nodes(direct) == 5
+    assert count_nodes(make_op(OpKind.NEGATE, (direct,))) == 6
+    parsed = parse_to_tree("x*x+x")
+    assert parsed.children[1] is parsed.children[0].children[0]
+    assert count_nodes(parsed) == 5
+    assert parsed == direct and repr(parsed) == repr(direct)
 
 
 def test_nodes_are_immutable():
