@@ -2,17 +2,18 @@
 """Compare a base revision with the working tree on perfbench, in pairs.
 
     python3 scripts/bench_pairs.py --workload fresh-exprs --seed 1 --pairs 10
-    python3 scripts/bench_pairs.py --workload long-chains --base HEAD~1 --seconds 10
+    python3 scripts/bench_pairs.py --workload long-chains --base HEAD~1
 
 The base revision (default HEAD, so the uncommitted change is measured) is
 checked out into a temporary ``git worktree``, removed again at the end.
 Each pair runs ``perfbench/run.py --trace 0`` once in that checkout and
-once in the working tree, each with its own copy of perfbench; the side
-that runs first alternates from pair to pair. For every end-to-end metric
-in BENCHMARK.json the script prints each side's median and quartiles, the
-change's wins (ties count for neither side), and whether a gain could be
-claimed: wins in at least 9/10 of the pairs and medians further apart
-than the base's interquartile spread. Run it from anywhere in the repo.
+once in the working tree, each with its own copy of perfbench, for
+BENCHMARK.json's ``run_seconds``; the side that runs first alternates
+from pair to pair. For every end-to-end metric in BENCHMARK.json the
+script prints each side's median and quartiles, the change's wins (ties
+count for neither side), and whether a gain could be claimed: wins in at
+least 9/10 of the pairs and medians further apart than the base's
+interquartile spread. Run it from anywhere in the repo.
 """
 
 import argparse
@@ -64,7 +65,6 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--base", default="HEAD", help="revision to compare against (default: HEAD)")
     args = parser.parse_args()
 
@@ -72,7 +72,7 @@ def main() -> int:
     root = Path(subprocess.run(git + ["rev-parse", "--show-toplevel"], capture_output=True,
                                text=True, check=True).stdout.strip())
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         base_dir = Path(tmp) / "base"

@@ -8,24 +8,23 @@ results. Difference, quotient and power are never collapsed; no algebraic
 rewriting (a-b into a + (-1*b), etc.) is performed.
 
 Nodes are built with the unchecked ``tree._trusted_node``: regrouping the
-children of a valid tree keeps every arity and function name valid.
+children of a valid tree keeps every arity and function name valid. The
+input must therefore be valid; a tree built through the ``make_*``
+constructors or by the parser is, while one built directly with
+``ExprNode(...)`` is not checked, and its faults show only in evaluation.
 """
-
-from operator import is_
 
 from .tree import ASSOCIATIVE_KINDS, ExprNode, _trusted_node, count_nodes
 
 
 def flatten(tree: ExprNode) -> ExprNode:
-    """Tree semantically equal to ``tree``, with no sum-under-sum or
+    """New tree, semantically equal to ``tree``, with no sum-under-sum or
     product-under-product edge. Total on valid trees and idempotent.
-    A subtree that needs no change is returned as it is, shared with
-    ``tree``."""
-    children = tree.children
-    if not children:
+    ``tree`` is assumed valid: a directly built ``ExprNode`` is not checked."""
+    if not tree.children:
         return tree
     kind = tree.kind
-    flat_children = [flatten(child) for child in children]
+    flat_children = [flatten(child) for child in tree.children]
     if kind in ASSOCIATIVE_KINDS:
         merged: list[ExprNode] = []
         for child in flat_children:
@@ -35,8 +34,6 @@ def flatten(tree: ExprNode) -> ExprNode:
             else:
                 merged.append(child)
         flat_children = merged
-    if len(flat_children) == len(children) and all(map(is_, flat_children, children)):
-        return tree
     return _trusted_node(kind, None, None, tree.fn_name, tuple(flat_children))
 
 

@@ -13,7 +13,8 @@ per occurrence, exactly as a walk would enter it.
 own input rules already guarantee them may call it: the parser (the
 lexer rejects non-finite constants, the symbol table admits only known
 function names and the grammar fixes every arity) and ``flatten`` (which
-only regroups the children of valid nodes). Public callers use ``make_*``.
+only regroups the children of a tree it assumes valid). Public callers use
+``make_*``; a node built directly with ``ExprNode(...)`` is not checked.
 """
 
 import enum
@@ -72,7 +73,10 @@ _ARITY = {
 
 @dataclass(frozen=True, slots=True)
 class ExprNode:
-    """One immutable tree node. Build through the ``make_*`` constructors."""
+    """One immutable tree node. Build through the ``make_*`` constructors.
+
+    A node built directly with ``ExprNode(...)`` is not checked; ``flatten``
+    and the evaluators assume a valid tree."""
 
     kind: OpKind
     value: float | None = None
