@@ -222,11 +222,10 @@ def nary_value(node: ExprNode, bindings: Bindings) -> float:
         raise DomainFaultError(node.fn_name, (arg,)) from None
 
 
-def _outcome(walker, tree: ExprNode, bindings, nan_on_fault: bool) -> EvalOutcome:
+def _outcome(walker, tree: ExprNode, bindings: Bindings, nan_on_fault: bool) -> EvalOutcome:
     """Run ``walker`` over ``tree``; visits are the tree's node count."""
-    b = as_bindings(bindings)
     try:
-        value = walker(tree, b)
+        value = walker(tree, bindings)
     except DomainFaultError:
         if not nan_on_fault:
             raise
@@ -240,12 +239,12 @@ def eval_binary(tree: ExprNode, bindings, *, nan_on_fault: bool = False) -> Eval
     With ``nan_on_fault`` a domain fault yields NaN instead of raising, so
     batch loops are never interrupted by error handling.
     """
-    return _outcome(binary_value, tree, bindings, nan_on_fault)
+    return _outcome(binary_value, tree, as_bindings(bindings), nan_on_fault)
 
 
 def eval_nary(tree: ExprNode, bindings, *, nan_on_fault: bool = False) -> EvalOutcome:
     """Evaluate any valid tree with the n-ary fold; ``visits`` is its node count."""
-    return _outcome(nary_value, tree, bindings, nan_on_fault)
+    return _outcome(nary_value, tree, as_bindings(bindings), nan_on_fault)
 
 
 def evaluate(
@@ -271,11 +270,11 @@ def evaluate(
     if method is EvalMethod.BINARY_TREE:
         if not isinstance(source, ExprNode):
             raise MethodSourceMismatchError(f"BINARY_TREE needs an ExprNode, got {type(source).__name__}")
-        return eval_binary(source, b, nan_on_fault=nan_on_fault)
+        return _outcome(binary_value, source, b, nan_on_fault)
     if method is EvalMethod.NARY_TREE:
         if not isinstance(source, ExprNode):
             raise MethodSourceMismatchError(f"NARY_TREE needs an ExprNode, got {type(source).__name__}")
-        return eval_nary(source, b, nan_on_fault=nan_on_fault)
+        return _outcome(nary_value, source, b, nan_on_fault)
     if method is EvalMethod.STRING_PARSE:
         if not isinstance(source, str):
             raise MethodSourceMismatchError(f"STRING_PARSE needs a string, got {type(source).__name__}")

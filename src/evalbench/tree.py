@@ -177,10 +177,10 @@ class Bindings:
     __slots__ = ("_values",)
 
     def __init__(self, values: Iterable[float] = ()):
-        vals = tuple(float(v) for v in values)
-        for i, v in enumerate(vals):
-            if not math.isfinite(v):
-                raise NonFiniteValueError(f"binding {i} must be finite, got {v!r}")
+        vals = tuple(map(float, values))
+        if not all(map(math.isfinite, vals)):
+            i = next(i for i, v in enumerate(vals) if not math.isfinite(v))
+            raise NonFiniteValueError(f"binding {i} must be finite, got {vals[i]!r}")
         self._values = vals
 
     def __len__(self) -> int:

@@ -50,6 +50,14 @@ def test_eval_parse_error_caret(capsys):
     assert lines[2] == "  " + " " * 2 + "^"
 
 
+def test_eval_string_deeply_nested_parentheses(capsys):
+    expr = "(" * 300 + "1+2" + ")" * 300
+    code, out, err = run(capsys, "eval", "--expr", expr, "--method", "string")
+    assert code == 0
+    assert out.strip() == "3"
+    assert err == ""
+
+
 def test_eval_unbound_variable(capsys):
     code, _, err = run(capsys, "eval", "--expr", "x+y", "--bind", "x=1")
     assert code == 2

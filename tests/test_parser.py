@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given
@@ -24,7 +25,9 @@ from evalbench import (
     parse_to_tree,
     tokenize,
 )
+from evalbench.evaluators import binary_value
 from evalbench.parser import TokenTag
+import reference_lexer
 from strategies import bindings, handbuilt_binary_tree, has_like_chain, to_source, trees
 
 
@@ -275,3 +278,109 @@ def test_tokenize_deterministic(text):
         assert second.value.kind is err.kind
         return
     assert tokenize(text) == first
+
+
+# Characters the old per-character scanner and a regex could disagree on:
+# the token alphabet, plus non-ASCII digits, letters and whitespace.
+_LEXER_EDGE_CHARACTERS = list("0123456789.eE+-*/^()xy_ \t\n") + [
+    "\u0663", "\uff11", "\u00b2", "\u00e9", "\u017f", "\u212a", "\u00a0", "\u2003", "\x1c", "\u3000",
+]
+
+
+def _scan_outcome(scan, text):
+    try:
+        return [tuple(tok) for tok in scan(text)]
+    except ParseError as err:
+        return err.kind, err.position, err.message
+
+
+@given(
+    text=st.text(max_size=40)
+    | st.text(alphabet=st.sampled_from(_LEXER_EDGE_CHARACTERS) | st.characters(), max_size=40)
+    | st.text(alphabet="0123456789.eE+-x ", max_size=20)
+)
+def test_tokenize_matches_reference_lexer(text):
+    assert _scan_outcome(tokenize, text) == _scan_outcome(reference_lexer.tokenize, text)
+
+
+@pytest.mark.parametrize(
+    "text", ["9" * 400 + ".", "9" * 400 + ".55e", "1." + "5" * 400 + "e+", "9" * 400 + ".5.5", "1e" + "9" * 400]
+)
+def test_tokenize_overlong_literals_match_reference_lexer(text):
+    # a number that cannot be completed is an error at its "." or "e", even
+    # when a prefix of its digits alone would already overflow a float
+    assert _scan_outcome(tokenize, text) == _scan_outcome(reference_lexer.tokenize, text)
+
+
+_points = st.sampled_from([0.0, -0.0, 0.5, -1.5, 2.0, 1e300]) | st.floats(-3.0, 3.0)
+
+
+def _same_float(a, b):
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@given(
+    text=st.text(alphabet="xy sincostanexplog+-*/^(). 0123456789e_", max_size=40),
+    point=st.tuples(_points, _points),
+)
+def test_eval_string_and_parse_to_tree_agree(text, point):
+    # both run one grammar loop: the same value bit for bit, the same fault,
+    # or the same parse error unless a domain fault is met before it
+    b = Bindings(point)
+    try:
+        tree = parse_to_tree(text)
+    except ParseError as err:
+        try:
+            eval_string(text, None, b)
+        except DomainFaultError:
+            return
+        except ParseError as direct:
+            assert (direct.kind, direct.position) == (err.kind, err.position)
+            return
+        pytest.fail("eval_string accepted a text that parse_to_tree rejects")
+    try:
+        want = binary_value(tree, b)
+    except DomainFaultError as fault:
+        with pytest.raises(DomainFaultError) as direct:
+            eval_string(text, None, b)
+        assert direct.value.op == fault.op
+        return
+    assert _same_float(eval_string(text, None, b), want)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("(1/0", DomainFaultError),  # the innermost group closes before "missing ')'"
+        ("1/0)", DomainFaultError),  # the expression closes before trailing input
+        ("(1/0+(", DomainFaultError),  # "+" reduces the quotient first
+        ("1/0^", ParseError),  # "^" binds tighter: its operand is missing first
+        ("(1/(0", ParseError),  # only the innermost group closes
+        ("log(0", ParseError),  # a call applies only at its ")"
+        ("log(0)x", DomainFaultError),
+    ],
+)
+def test_eval_string_meets_faults_and_errors_in_grammar_order(text, error):
+    with pytest.raises(error):
+        eval_string(text)
+
+
+_DEPTH = 10**4
+
+
+@pytest.mark.parametrize(
+    "text, nodes",
+    [
+        ("(" * _DEPTH + "x" + ")" * _DEPTH, 1),
+        ("-" * _DEPTH + "x", _DEPTH + 1),
+        ("sin(" * _DEPTH + "x" + ")" * _DEPTH, _DEPTH + 1),
+        ("^".join(["x"] * _DEPTH), 2 * _DEPTH - 1),
+    ],
+    ids=["parentheses", "prefix-minus", "nested-sin", "power-chain"],
+)
+def test_parser_depth_needs_no_python_stack(text, nodes):
+    assert sys.getrecursionlimit() < _DEPTH
+    assert count_nodes(parse_to_tree(text)) == nodes
+    assert math.isfinite(eval_string(text, None, (0.5,)))

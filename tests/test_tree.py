@@ -163,6 +163,20 @@ def test_bindings_lookup_and_validation():
         Bindings((math.inf,))
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((1.0, math.nan, math.inf), "binding 1 must be finite, got nan"),
+        ([math.inf], "binding 0 must be finite, got inf"),
+        ((0, 1, "-inf"), "binding 2 must be finite, got -inf"),
+    ],
+)
+def test_bindings_names_first_non_finite_index(values, message):
+    with pytest.raises(NonFiniteValueError) as exc:
+        Bindings(values)
+    assert str(exc.value) == message
+
+
 def test_bindings_empty():
     b = Bindings()
     assert len(b) == 0
