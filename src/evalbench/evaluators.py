@@ -21,8 +21,7 @@ per collapsed node.
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import (
     ArityMismatchError,
@@ -31,7 +30,7 @@ from .errors import (
     UnknownFunctionIdError,
 )
 from .parser import DEFAULT_SYMBOLS, SymbolTable, interpret_string, tokenize
-from .tree import UNARY_FUNCTIONS, Bindings, ExprNode, OpKind, as_bindings, count_nodes
+from .tree import UNARY_FUNCTIONS, Bindings, ExprNode, OpKind, _preorder, _raise_unbound, as_bindings, count_nodes
 
 
 class EvalMethod(enum.Enum):
@@ -41,9 +40,8 @@ class EvalMethod(enum.Enum):
     STRING_PARSE = "string"
 
 
-@dataclass(frozen=True, slots=True)
-class EvalOutcome:
-    """Result of one evaluation.
+class EvalOutcome(NamedTuple):
+    """Result of one evaluation: a tuple, equal to ``(value, visits)``.
 
     ``visits`` counts units of work: tree nodes entered for the tree
     methods, tokens consumed for direct string evaluation, and 0 for
@@ -116,10 +114,12 @@ _DIFFERENCE = OpKind.DIFFERENCE
 _QUOTIENT = OpKind.QUOTIENT
 _POWER = OpKind.POWER
 _NEGATE = OpKind.NEGATE
+_new_outcome = tuple.__new__  # EvalOutcome from a 2-tuple, skipping its Python __new__
 
 
 def binary_value(node: ExprNode, bindings: Bindings) -> float:
-    """Evaluate a binary-form tree; every sum and product has two children."""
+    """Evaluate a binary-form tree; every sum and product has two children.
+    An unbound variable raises ``IndexError``."""
     kind = node.kind
     if kind is _CONSTANT:
         return node.value
@@ -176,7 +176,8 @@ def binary_value(node: ExprNode, bindings: Bindings) -> float:
 
 
 def nary_value(node: ExprNode, bindings: Bindings) -> float:
-    """Evaluate any valid tree; sums and products fold over all children."""
+    """Evaluate any valid tree, folding sums and products over all children;
+    an unbound variable raises ``IndexError``."""
     kind = node.kind
     if kind is _CONSTANT:
         return node.value
@@ -230,7 +231,10 @@ def _outcome(walker, tree: ExprNode, bindings: Bindings, nan_on_fault: bool) -> 
         if not nan_on_fault:
             raise
         value = math.nan
-    return EvalOutcome(value, count_nodes(tree))
+    except IndexError:
+        _raise_unbound((n.var_index for n, _ in _preorder(tree) if n.kind is _VARIABLE), len(bindings))
+        raise
+    return _new_outcome(EvalOutcome, (value, count_nodes(tree)))
 
 
 def eval_binary(tree: ExprNode, bindings, *, nan_on_fault: bool = False) -> EvalOutcome:
@@ -266,7 +270,8 @@ def evaluate(
         if not isinstance(source, int) or isinstance(source, bool):
             raise MethodSourceMismatchError(f"BLACKBOX needs an int id, got {type(source).__name__}")
         fn = blackbox_lookup(source)
-        return EvalOutcome(fn(b[0], b[1]), 0)
+        _raise_unbound((0, 1), len(b))
+        return _new_outcome(EvalOutcome, (fn(b[0], b[1]), 0))
     if method is EvalMethod.BINARY_TREE:
         if not isinstance(source, ExprNode):
             raise MethodSourceMismatchError(f"BINARY_TREE needs an ExprNode, got {type(source).__name__}")
@@ -283,6 +288,6 @@ def evaluate(
         except DomainFaultError:
             if not nan_on_fault:
                 raise
-            return EvalOutcome(math.nan, len(tokenize(source)))
-        return EvalOutcome(value, tokens)
+            return _new_outcome(EvalOutcome, (math.nan, len(tokenize(source))))
+        return _new_outcome(EvalOutcome, (value, tokens))
     raise MethodSourceMismatchError(f"unknown method {method!r}")

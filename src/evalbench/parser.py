@@ -50,6 +50,7 @@ from .tree import (
     Bindings,
     ExprNode,
     OpKind,
+    _raise_unbound,
     _trusted_node,
     as_bindings,
 )
@@ -398,7 +399,12 @@ def parse_to_tree(text: str, symbols: SymbolTable | None = None) -> ExprNode:
 def interpret_string(text: str, symbols: SymbolTable, bindings: Bindings) -> tuple[float, int]:
     """Directly evaluate ``text``; returns (value, tokens consumed)."""
     tokens = tokenize(text)
-    return _run(tokens, symbols, bindings.__getitem__, _VALUE_ACTIONS), len(tokens)
+    try:
+        return _run(tokens, symbols, bindings.__getitem__, _VALUE_ACTIONS), len(tokens)
+    except IndexError:
+        # Variables are read in token order; no variable is named like a function.
+        _raise_unbound(map(symbols.variable_index, [tok.text for tok in tokens]), len(bindings))
+        raise
 
 
 def eval_string(text: str, symbols: SymbolTable | None = None, bindings=()) -> float:

@@ -15,6 +15,10 @@ lexer rejects non-finite constants, the symbol table admits only known
 function names and the grammar fixes every arity) and ``flatten`` (which
 only regroups the children of a tree it assumes valid). Public callers use
 ``make_*``; a node built directly with ``ExprNode(...)`` is not checked.
+
+``Bindings`` is a tuple of finite floats. The walkers index it directly,
+so a variable with no value raises ``IndexError`` there; the public
+evaluation entry points turn that into ``UnboundVariableError``.
 """
 
 import enum
@@ -167,44 +171,23 @@ def make_op(kind: OpKind, children: Iterable[ExprNode], fn_name: str | None = No
     return ExprNode(kind, fn_name=fn_name, children=kids)
 
 
-class Bindings:
-    """Dense variable values: position ``i`` is the value of variable ``i``.
+class Bindings(tuple):
+    """Dense variable values: a tuple of finite floats, checked once when
+    built; position ``i`` is the value of variable ``i``. ``b[i]`` past the
+    end raises ``IndexError``, never a silent zero, and the public evaluation
+    entry points turn such a read into ``UnboundVariableError``."""
 
-    Entries are validated finite once at construction. Out-of-range lookup
-    raises UnboundVariableError -- never a silent zero.
-    """
+    __slots__ = ()
 
-    __slots__ = ("_values",)
-
-    def __init__(self, values: Iterable[float] = ()):
-        vals = tuple(map(float, values))
+    def __new__(cls, values: Iterable[float] = ()):
+        vals = tuple.__new__(cls, map(float, values))
         if not all(map(math.isfinite, vals)):
             i = next(i for i, v in enumerate(vals) if not math.isfinite(v))
             raise NonFiniteValueError(f"binding {i} must be finite, got {vals[i]!r}")
-        self._values = vals
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self._values)
-
-    def __getitem__(self, index: int) -> float:
-        try:
-            return self._values[index]
-        except IndexError:
-            raise UnboundVariableError(index) from None
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Bindings):
-            return self._values == other._values
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values)
+        return vals
 
     def __repr__(self) -> str:
-        return f"Bindings({list(self._values)!r})"
+        return f"Bindings({list(self)!r})"
 
 
 def as_bindings(values) -> Bindings:
@@ -214,15 +197,27 @@ def as_bindings(values) -> Bindings:
     return Bindings(values)
 
 
+def _raise_unbound(indices: Iterable[int | None], bound: int) -> None:
+    """Raise ``UnboundVariableError`` for the first of ``indices`` (variable
+    reads in reading order, None for other reads) outside ``bound`` values."""
+    for index in indices:
+        if index is not None and not -bound <= index < bound:
+            raise UnboundVariableError(index) from None
+
+
+def _preorder(tree: ExprNode) -> Iterator[tuple[ExprNode, int]]:
+    """(node, depth) pairs, each node before its children, left to right:
+    the order in which the evaluators' walkers read variables."""
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        stack.extend((child, depth + 1) for child in reversed(node.children))
+
+
 def is_binary_form(tree: ExprNode) -> bool:
     """True iff every sum and product node has exactly two children."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node.kind in ASSOCIATIVE_KINDS and len(node.children) != 2:
-            return False
-        stack.extend(node.children)
-    return True
+    return all(node.kind not in ASSOCIATIVE_KINDS or len(node.children) == 2 for node, _ in _preorder(tree))
 
 
 def count_nodes(tree: ExprNode) -> int:
@@ -232,14 +227,7 @@ def count_nodes(tree: ExprNode) -> int:
 
 def variable_indices(tree: ExprNode) -> set[int]:
     """Set of variable indices referenced anywhere in the tree."""
-    found = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node.kind is OpKind.VARIABLE:
-            found.add(node.var_index)
-        stack.extend(node.children)
-    return found
+    return {node.var_index for node, _ in _preorder(tree) if node.kind is OpKind.VARIABLE}
 
 
 def _node_label(node: ExprNode) -> str:
@@ -257,24 +245,24 @@ def _node_label(node: ExprNode) -> str:
 
 def format_tree(tree: ExprNode) -> str:
     """Indented rendering, one node per line: kind, value/index, child count."""
-    lines: list[str] = []
-
-    def walk(node: ExprNode, depth: int) -> None:
-        lines.append("  " * depth + _node_label(node))
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(tree, 0)
-    return "\n".join(lines)
+    return "\n".join("  " * depth + _node_label(node) for node, depth in _preorder(tree))
 
 
 def to_sexpr(tree: ExprNode) -> str:
     """Machine-readable nested-list form, e.g. ``(sum (var 0) (const 1.0))``."""
-    if tree.kind is OpKind.CONSTANT:
-        return f"(const {tree.value!r})"
-    if tree.kind is OpKind.VARIABLE:
-        return f"(var {tree.var_index})"
-    inner = " ".join(to_sexpr(c) for c in tree.children)
-    if tree.kind is OpKind.UNARY_FN:
-        return f"(fn {tree.fn_name} {inner})"
-    return f"({tree.kind.value} {inner})"
+    parts: list[str] = []
+    stack: list = [tree]  # nodes still to render, and text to emit after them
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif node.kind is OpKind.CONSTANT:
+            parts.append(f"(const {node.value!r})")
+        elif node.kind is OpKind.VARIABLE:
+            parts.append(f"(var {node.var_index})")
+        else:
+            parts.append(f"(fn {node.fn_name} " if node.kind is OpKind.UNARY_FN else f"({node.kind.value} ")
+            stack.append(")")
+            for i, child in enumerate(reversed(node.children)):
+                stack.extend((" ", child) if i else (child,))
+    return "".join(parts)

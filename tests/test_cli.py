@@ -111,6 +111,22 @@ def test_parse_dump(capsys):
     assert out.strip() == "(sum (var 0) (var 1) (const 1.0))"
 
 
+@pytest.mark.parametrize("dump", [False, True])
+def test_parse_prints_deeply_nested_tree(capsys, dump):
+    depth = 2000
+    expr = "sin(" * depth + "x" + ")" * depth
+    code, out, err = run(capsys, "parse", "--expr", expr, *(["--dump"] if dump else []))
+    assert code == 0
+    assert err == ""
+    if dump:
+        assert out.strip() == "(fn sin " * depth + "(var 0)" + ")" * depth
+    else:
+        lines = out.strip().splitlines()
+        assert len(lines) == depth + 1
+        assert lines[0] == "fn[sin] (1 child)"
+        assert lines[-1] == "  " * depth + "var[0]"
+
+
 def test_parse_unbalanced_paren(capsys):
     code, _, err = run(capsys, "parse", "--expr", "(")
     assert code == 1

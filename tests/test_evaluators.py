@@ -9,8 +9,11 @@ from evalbench import (
     Bindings,
     DomainFaultError,
     EvalMethod,
+    EvalOutcome,
+    ExprNode,
     MethodSourceMismatchError,
     OpKind,
+    SymbolTable,
     UnboundVariableError,
     UnknownFunctionIdError,
     blackbox_lookup,
@@ -46,6 +49,8 @@ def test_eval_binary_handbuilt_tree():
     outcome = eval_binary(handbuilt_binary_tree(), Bindings((0.5, 0.25)))
     assert outcome.value == 1.75
     assert outcome.visits == 5
+    assert isinstance(outcome, tuple) and outcome == (1.75, 5)
+    assert repr(outcome) == "EvalOutcome(value=1.75, visits=5)"
 
 
 def test_eval_binary_sin_at_zero():
@@ -94,6 +99,37 @@ def test_unbound_variable():
     with pytest.raises(UnboundVariableError) as exc:
         eval_binary(tree, Bindings((1.0, 2.0)))
     assert exc.value.index == 2
+
+
+_XYZ = SymbolTable(("x", "y", "z"))
+_XZY_BINARY = parse_to_tree("x+z+y", _XYZ)  # sum(sum(var0, var2), var1)
+_XZY_NARY = make_op(OpKind.SUM, (make_variable(0), make_variable(2), make_variable(1)))
+# Entry point -> (call on bindings, index reported with one bound value).
+_ENTRY_POINTS = {
+    "eval_binary": (lambda b: eval_binary(_XZY_BINARY, b), 2),
+    "eval_nary": (lambda b: eval_nary(_XZY_NARY, b), 2),
+    "evaluate-blackbox": (lambda b: evaluate(EvalMethod.BLACKBOX, 2, b), 1),
+    "evaluate-binary": (lambda b: evaluate(EvalMethod.BINARY_TREE, _XZY_BINARY, b), 2),
+    "evaluate-nary": (lambda b: evaluate(EvalMethod.NARY_TREE, _XZY_NARY, b), 2),
+    "evaluate-string": (lambda b: evaluate(EvalMethod.STRING_PARSE, "x+z+y", b, symbols=_XYZ), 2),
+    "eval_string": (lambda b: eval_string("x+z+y", _XYZ, b), 2),
+}
+
+
+@pytest.mark.parametrize("values", [Bindings(), Bindings((1.0,)), (1.0,)], ids=["empty", "one", "tuple"])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_unbound_variable_index_at_every_entry_point(entry, values):
+    call, index = _ENTRY_POINTS[entry]
+    with pytest.raises(UnboundVariableError) as exc:
+        call(values)
+    # the first variable read with no value: x when nothing is bound, else z
+    assert exc.value.index == (index if values else 0)
+
+
+def test_malformed_tree_index_error_is_not_relabelled():
+    for ev in (eval_binary, eval_nary):
+        with pytest.raises(IndexError):
+            ev(ExprNode(OpKind.NEGATE), Bindings())
 
 
 @pytest.mark.parametrize(
@@ -205,6 +241,9 @@ def test_evaluate_dispatch():
     assert evaluate(EvalMethod.BLACKBOX, 2, Bindings((0.2, 0.3))).value == 0.5
     assert evaluate(EvalMethod.BINARY_TREE, handbuilt_binary_tree(), b).value == 1.75
     assert evaluate(EvalMethod.STRING_PARSE, "x+y+1", b).value == 1.75
+    outcomes = [evaluate(EvalMethod.BLACKBOX, 7, b), evaluate(EvalMethod.NARY_TREE, handbuilt_nary_tree(), b),
+                evaluate(EvalMethod.STRING_PARSE, "log(0-1)", b, nan_on_fault=True)]
+    assert all(type(o) is EvalOutcome for o in outcomes)
 
 
 def test_evaluate_visit_conventions():

@@ -12,7 +12,6 @@ from evalbench import (
     LeafKindError,
     NonFiniteValueError,
     OpKind,
-    UnboundVariableError,
     UnknownFunctionError,
     count_nodes,
     is_binary_form,
@@ -154,9 +153,11 @@ def test_bindings_lookup_and_validation():
     assert b[0] == 0.5 and b[1] == 0.25
     assert list(b) == [0.5, 0.25]
     assert b == Bindings([0.5, 0.25])
-    with pytest.raises(UnboundVariableError) as exc:
+    assert isinstance(b, tuple) and b == (0.5, 0.25) and hash(b) == hash((0.5, 0.25))
+    assert repr(b) == "Bindings([0.5, 0.25])"
+    assert Bindings((1, "2")) == (1.0, 2.0)
+    with pytest.raises(IndexError):
         b[2]
-    assert exc.value.index == 2
     with pytest.raises(NonFiniteValueError):
         Bindings((1.0, math.nan))
     with pytest.raises(NonFiniteValueError):
@@ -179,6 +180,6 @@ def test_bindings_names_first_non_finite_index(values, message):
 
 def test_bindings_empty():
     b = Bindings()
-    assert len(b) == 0
-    with pytest.raises(UnboundVariableError):
+    assert len(b) == 0 and b == () and repr(b) == "Bindings([])"
+    with pytest.raises(IndexError):
         b[0]
