@@ -19,22 +19,28 @@ ExprNode, while ``eval_string`` folds numeric values during parsing and
 never allocates a tree -- re-tokenizing and re-interpreting on every call
 is the whole point of the direct-evaluation strategy, so nothing is cached.
 
-One operator-precedence loop (Dijkstra's shunting-yard) over the token
-list serves both, with one of two action sets: the tree actions build
-nodes, the value actions fold floats and raise ``DomainFaultError``. It
-replaces the two recursive-descent walkers the grammar once had, one per
-consumer. The loop keeps its own operand and operator stacks, so nesting
-depth costs no Python stack and never raises ``RecursionError``. Unary
-minus sits between "*" and "^" in precedence and "^" is right-associative,
-which is exactly the grammar above. Each reduction happens as soon as the
-grammar's rule for it is complete, so a domain fault and a parse error in
-one text are met in the order a left-to-right reading meets them.
+One operator-precedence loop (Dijkstra's shunting-yard) serves both, with
+one of two action sets: the tree actions build nodes, the value actions
+fold floats and raise ``DomainFaultError``. The loop keeps its own operand
+and operator stacks, so nesting depth costs no Python stack and never
+raises ``RecursionError``. Unary minus sits between "*" and
+"^" in precedence and "^" is right-associative, which is exactly the
+grammar above. Each reduction happens as soon as the grammar's rule for it
+is complete, so a domain fault and a parse error in one text are met in the
+order a left-to-right reading meets them.
 
-``tokenize`` scans with one compiled regex. A ``Token`` is a named tuple,
-built in the scanner straight from a plain tuple. The tree actions make
-their nodes with the unchecked ``tree._trusted_node`` (the ``tree``
-docstring says why that is safe) and reuse one leaf per variable index
-within a parse.
+The loop reads the bare lexeme strings of one regex scan, whitespace
+skipped and an empty string at the end: one dict lookup per lexeme picks
+its action, and names and numbers are told apart by their first character.
+It builds no ``Token`` and tracks no positions. Errors are rare, so every
+error exit, and every domain fault or unbound variable on the way out,
+first runs ``tokenize`` over the whole text: a lexical error anywhere in
+the text wins, as if the text had been tokenized first, and otherwise the
+failing lexeme's ``Token`` gives the error its position. ``tokenize``
+stays public API; a ``Token`` is a named tuple, built in the scanner
+straight from a plain tuple. The tree actions make their nodes
+with the unchecked ``tree._trusted_node`` (the ``tree`` docstring says why
+that is safe) and reuse one leaf per variable index within a parse.
 """
 
 import enum
@@ -92,29 +98,33 @@ _SINGLE_CHAR = {
 _IDENTIFIER = "[A-Za-z_][A-Za-z0-9_]*"
 _is_identifier = re.compile(_IDENTIFIER).fullmatch
 
-# One lexeme per token or whitespace run (``\s`` is exactly ``str.isspace``);
-# the digit and letter classes are ASCII on purpose. A number may not stop
-# at a "." or an exponent marker it cannot complete; where it would, the
-# next branch takes the digits up to and including that "." or "e", so a
-# valid number ends in a digit and a bad one does not. Every position
-# starts some match, so the lexemes tile the text and a token's position is
-# their summed length before it. A ``finditer`` scanner, one match object
-# per token, measured long-chains walks 5-7% slower over the trees it had
-# parsed (CPython 3.11, shared 2-vCPU host; cause not found); ``findall``
-# returns plain strings.
-_SCAN = re.compile(
+# The token branches; the digit and letter classes are ASCII on purpose. A
+# number may not stop at a "." or an exponent marker it cannot complete, so
+# a valid number ends in a digit.
+_TOKEN = (
     r"[-+*/^()]"
     rf"|{_IDENTIFIER}"
     r"|[0-9]+(?![0-9])(?:\.[0-9]+(?![0-9])|(?!\.))(?:[eE][+-]?[0-9]+|(?![eE]))"
-    r"|[0-9]+(?:\.[0-9]+)?[.eE]"
-    r"|\s+"
-    r"|.",
-    re.DOTALL,
-).findall
-# Tag of an identifier or number lexeme, by its first character.
-_LEADING_TAG = dict.fromkeys(string.ascii_letters + "_", TokenTag.IDENT) | dict.fromkeys(
-    string.digits, TokenTag.NUMBER
 )
+# ``tokenize``'s scanner: one lexeme per token or whitespace run (``\s`` is
+# exactly ``str.isspace``). Where a number would stop at a "." or "e", the
+# bad-number branch takes the digits up to and including it. Every
+# position starts some match, so the lexemes tile the text and a token's
+# position is their summed length before it. A ``finditer`` scanner, one
+# match object per token, measured long-chains walks 5-7% slower over the
+# trees it had parsed (CPython 3.11, shared 2-vCPU host; cause not found);
+# ``findall`` returns plain strings.
+_SCAN = re.compile(rf"{_TOKEN}|[0-9]+(?:\.[0-9]+)?[.eE]|\s+|.", re.DOTALL).findall
+# The grammar loop's scanner: the same tokens with whitespace skipped, and
+# an empty lexeme at the end of the text. It has no bad-number branch: a
+# number it cannot complete falls to ``\S`` one character at a time, and
+# what follows its first digit (a digit, "." or "e") is never an operator,
+# ")" or the end, so the loop stops there and ``tokenize`` reports it.
+_LEXEMES = re.compile(rf"\s*({_TOKEN}|\S)|\Z").findall
+# What a lexeme in operand position is, by its first character.
+_LEAD = dict.fromkeys(string.ascii_letters + "_", TokenTag.IDENT) | dict.fromkeys(
+    string.digits, TokenTag.NUMBER
+) | {"-": TokenTag.MINUS, "(": TokenTag.LPAREN}
 
 
 class SymbolTable:
@@ -181,7 +191,7 @@ def tokenize(text: str) -> list[Token]:
             append(_new_token(Token, (tag, position, None, None)))
             position += 1
             continue
-        tag = _LEADING_TAG.get(lexeme[0])
+        tag = _LEAD.get(lexeme[0])
         if tag is TokenTag.IDENT:
             append(_new_token(Token, (tag, position, None, lexeme)))
         elif tag is TokenTag.NUMBER:
@@ -208,12 +218,11 @@ def tokenize(text: str) -> list[Token]:
 # the bottom entry, precedence -1, marks the top level. Unary minus is the
 # only entry of precedence 3 and the only one-operand reduction.
 
-_IDENT, _NUMBER, _MINUS, _LPAREN, _RPAREN, _END = (
-    TokenTag.IDENT, TokenTag.NUMBER, TokenTag.MINUS, TokenTag.LPAREN, TokenTag.RPAREN, TokenTag.END
-)
+_IDENT, _NUMBER, _MINUS, _LPAREN = TokenTag.IDENT, TokenTag.NUMBER, TokenTag.MINUS, TokenTag.LPAREN
 _TOP = (-1, None)
 _PAREN = (0, None)
 _NEGATE_PRECEDENCE = 3
+_INF = math.inf
 
 
 def _quotient(num: float, den: float) -> float:
@@ -250,14 +259,14 @@ def _tree_call(name: str):
     return lambda arg: _trusted_node(OpKind.UNARY_FN, None, None, name, (arg,))
 
 
-# tag -> (reduction threshold, precedence, tree kind, value action). "^"
+# lexeme -> (reduction threshold, precedence, tree kind, value action). "^"
 # pushes at 4 but reduces only entries above 4 (none): right-associative.
 _BINARY = {
-    TokenTag.PLUS: (1, 1, OpKind.SUM, operator.add),
-    TokenTag.MINUS: (1, 1, OpKind.DIFFERENCE, operator.sub),
-    TokenTag.STAR: (2, 2, OpKind.PRODUCT, operator.mul),
-    TokenTag.SLASH: (2, 2, OpKind.QUOTIENT, _quotient),
-    TokenTag.CARET: (5, 4, OpKind.POWER, _power),
+    "+": (1, 1, OpKind.SUM, operator.add),
+    "-": (1, 1, OpKind.DIFFERENCE, operator.sub),
+    "*": (2, 2, OpKind.PRODUCT, operator.mul),
+    "/": (2, 2, OpKind.QUOTIENT, _quotient),
+    "^": (5, 4, OpKind.POWER, _power),
 }
 
 
@@ -266,22 +275,22 @@ class _Actions(NamedTuple):
 
     constant: object  # float -> operand
     negate: tuple  # operator-stack entry for unary minus
-    binary: dict  # TokenTag -> (reduction threshold, operator-stack entry)
+    binary: dict  # lexeme -> (reduction threshold, operator-stack entry)
     calls: dict  # function name -> marker whose action applies the function
 
 
 _TREE_ACTIONS = _Actions(
     lambda value: _trusted_node(OpKind.CONSTANT, value, None, None, ()),
     (_NEGATE_PRECEDENCE, lambda arg: _trusted_node(OpKind.NEGATE, None, None, None, (arg,))),
-    {tag: (threshold, (prec, _tree_binary(kind)))
-     for tag, (threshold, prec, kind, _) in _BINARY.items()},
+    {lexeme: (threshold, (prec, _tree_binary(kind)))
+     for lexeme, (threshold, prec, kind, _) in _BINARY.items()},
     {name: (0, _tree_call(name)) for name in UNARY_FUNCTIONS},
 )
 _VALUE_ACTIONS = _Actions(
     float,
     (_NEGATE_PRECEDENCE, operator.neg),
-    {tag: (threshold, (prec, action))
-     for tag, (threshold, prec, _, action) in _BINARY.items()},
+    {lexeme: (threshold, (prec, action))
+     for lexeme, (threshold, prec, _, action) in _BINARY.items()},
     {name: (0, _value_call(name)) for name in UNARY_FUNCTIONS},
 )
 
@@ -294,11 +303,18 @@ class _Leaves(dict):
         return leaf
 
 
+# --- error exits ------------------------------------------------------------
+# The loop keeps no positions. An exit re-scans the text with ``tokenize``,
+# which raises any lexical error in it first, and takes token ``i`` (the
+# loop's lexeme ``i``) for the position and shown text of the grammar error.
+
+
 def _shown(tok: Token) -> str:
     return tok.tag.value if tok.text is None else tok.text
 
 
-def _missing_operand(tok: Token, stack: list):
+def _missing_operand(text: str, i: int, stack: list):
+    tok = tokenize(text)[i]
     expected = "a number, variable, function or '('"
     if tok.tag is not TokenTag.END:
         raise ParseError(
@@ -311,8 +327,24 @@ def _missing_operand(tok: Token, stack: list):
     )
 
 
-def _run(tokens: list[Token], symbols: SymbolTable, variable, actions: _Actions):
-    """Parse ``tokens`` with ``actions``; returns the one remaining operand.
+def _unexpected_operator(text: str, i: int, top: tuple):
+    tok = tokenize(text)[i]
+    if top is _TOP:
+        raise ParseError(ParseErrorKind.TRAILING_INPUT, tok.position, f"trailing input {_shown(tok)!r}")
+    if tok.tag is TokenTag.END:
+        raise ParseError(ParseErrorKind.UNBALANCED_PAREN, tok.position, "missing ')'")
+    raise ParseError(
+        ParseErrorKind.UNEXPECTED_TOKEN, tok.position, f"unexpected {_shown(tok)!r}, expected ')'"
+    )
+
+
+def _unknown_name(text: str, i: int, what: str, name: str):
+    raise ParseError(ParseErrorKind.UNKNOWN_IDENTIFIER, tokenize(text)[i].position, f"unknown {what} {name!r}")
+
+
+def _run(lexemes: list[str], text: str, symbols: SymbolTable, variable, actions: _Actions):
+    """Parse ``text``, scanned into ``lexemes``, with ``actions``; returns
+    the one remaining operand.
 
     ``variable`` maps a variable index to its operand.
     """
@@ -324,39 +356,38 @@ def _run(tokens: list[Token], symbols: SymbolTable, variable, actions: _Actions)
     i = 0
     while True:
         # Operand position: any prefix "-", "(" or "name(", then one atom.
-        tok = tokens[i]
+        lexeme = lexemes[i]
         i += 1
-        tag = tok[0]
-        if tag is _IDENT:
-            name = tok[3]
-            if tokens[i][0] is _LPAREN:
-                if name not in functions:
-                    raise ParseError(
-                        ParseErrorKind.UNKNOWN_IDENTIFIER, tok[1], f"unknown function {name!r}"
-                    )
-                stack.append(calls[name])
+        lead = _LEAD.get(lexeme[:1])
+        if lead is _IDENT:
+            if lexemes[i] == "(":
+                if lexeme not in functions:
+                    _unknown_name(text, i - 1, "function", lexeme)
+                stack.append(calls[lexeme])
                 i += 1
                 continue
-            index = indices.get(name)
+            index = indices.get(lexeme)
             if index is None:
-                raise ParseError(ParseErrorKind.UNKNOWN_IDENTIFIER, tok[1], f"unknown variable {name!r}")
+                _unknown_name(text, i - 1, "variable", lexeme)
             operands.append(variable(index))
-        elif tag is _NUMBER:
-            operands.append(constant(tok[2]))
-        elif tag is _MINUS:
+        elif lead is _NUMBER:
+            value = float(lexeme)
+            if value == _INF:
+                tokenize(text)  # raises: the literal overflows a float
+            operands.append(constant(value))
+        elif lead is _MINUS:
             stack.append(negate)
             continue
-        elif tag is _LPAREN:
+        elif lead is _LPAREN:
             stack.append(_PAREN)
             continue
         else:
-            _missing_operand(tok, stack)
+            _missing_operand(text, i - 1, stack)
         # Operator position: close groups until a binary operator or the end.
         while True:
-            tok = tokens[i]
+            lexeme = lexemes[i]
             i += 1
-            tag = tok[0]
-            op = binary.get(tag)
+            op = binary.get(lexeme)
             threshold = 1 if op is None else op[0]
             top = stack[-1]
             while top[0] >= threshold:
@@ -370,40 +401,37 @@ def _run(tokens: list[Token], symbols: SymbolTable, variable, actions: _Actions)
             if op is not None:
                 stack.append(op[1])
                 break
-            # ")", the end or a stray token: the innermost group is complete.
+            # ")", the end or a stray lexeme: the innermost group is complete.
             if top is _TOP:
-                if tag is _END:
+                if not lexeme:
                     return operands[0]
-                raise ParseError(
-                    ParseErrorKind.TRAILING_INPUT, tok[1], f"trailing input {_shown(tok)!r}"
-                )
-            if tag is _RPAREN:
+            elif lexeme == ")":
                 del stack[-1]
                 if top[1] is not None:
                     operands[-1] = top[1](operands[-1])
                 continue
-            if tag is _END:
-                raise ParseError(ParseErrorKind.UNBALANCED_PAREN, tok[1], "missing ')'")
-            raise ParseError(
-                ParseErrorKind.UNEXPECTED_TOKEN, tok[1], f"unexpected {_shown(tok)!r}, expected ')'"
-            )
+            _unexpected_operator(text, i - 1, top)
 
 
 def parse_to_tree(text: str, symbols: SymbolTable | None = None) -> ExprNode:
     """Parse ``text`` into a binary-form expression tree."""
     if symbols is None:
         symbols = DEFAULT_SYMBOLS
-    return _run(tokenize(text), symbols, _Leaves().__getitem__, _TREE_ACTIONS)
+    return _run(_LEXEMES(text), text, symbols, _Leaves().__getitem__, _TREE_ACTIONS)
 
 
 def interpret_string(text: str, symbols: SymbolTable, bindings: Bindings) -> tuple[float, int]:
     """Directly evaluate ``text``; returns (value, tokens consumed)."""
-    tokens = tokenize(text)
+    lexemes = _LEXEMES(text)
     try:
-        return _run(tokens, symbols, bindings.__getitem__, _VALUE_ACTIONS), len(tokens)
+        return _run(lexemes, text, symbols, bindings.__getitem__, _VALUE_ACTIONS), len(lexemes)
+    except DomainFaultError:
+        tokenize(text)  # a lexical error anywhere in the text comes first
+        raise
     except IndexError:
-        # Variables are read in token order; no variable is named like a function.
-        _raise_unbound(map(symbols.variable_index, [tok.text for tok in tokens]), len(bindings))
+        tokenize(text)
+        # Variables are read in lexeme order; no variable is named like a function.
+        _raise_unbound(map(symbols.variable_index, lexemes), len(bindings))
         raise
 
 

@@ -3,12 +3,13 @@ import random
 import sys
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from evalbench import (
     Bindings,
     DomainFaultError,
+    EvalMethod,
     OpKind,
     ParseError,
     ParseErrorKind,
@@ -23,10 +24,13 @@ from evalbench import (
     make_op,
     make_variable,
     parse_to_tree,
+    UnboundVariableError,
+    evaluate,
     tokenize,
 )
 from evalbench.evaluators import binary_value
-from evalbench.parser import TokenTag
+from evalbench.parser import TokenTag, interpret_string
+import reference_grammar
 import reference_lexer
 from strategies import bindings, handbuilt_binary_tree, has_like_chain, to_source, trees
 
@@ -145,6 +149,8 @@ def test_precedence_and_parens():
         ("foo(x)", ParseErrorKind.UNKNOWN_IDENTIFIER, 0),
         ("sin + 1", ParseErrorKind.UNKNOWN_IDENTIFIER, 0),
         ("x+q", ParseErrorKind.UNKNOWN_IDENTIFIER, 2),
+        ("x + 1e999", ParseErrorKind.BAD_NUMBER, 4),
+        ("q+2.", ParseErrorKind.BAD_NUMBER, 3),  # a lexical error anywhere comes first
     ],
 )
 def test_parse_errors(text, kind, pos):
@@ -360,11 +366,90 @@ def test_eval_string_and_parse_to_tree_agree(text, point):
         ("(1/(0", ParseError),  # only the innermost group closes
         ("log(0", ParseError),  # a call applies only at its ")"
         ("log(0)x", DomainFaultError),
+        # a lexical error anywhere in the text comes before any fault
+        ("1/0+@", ParseError),
+        ("log(0)+1.", ParseError),
+        ("1/0+1e999", ParseError),
+        ("x+@", ParseError),  # x is unbound: no bindings are given
+        ("x+y", UnboundVariableError),
     ],
 )
 def test_eval_string_meets_faults_and_errors_in_grammar_order(text, error):
     with pytest.raises(error):
         eval_string(text)
+
+
+@pytest.mark.parametrize("text", ["sin (x)", "sin\t(\n x )", " sin ( x ) "])
+def test_whitespace_between_function_name_and_parenthesis(text):
+    assert parse_to_tree(text) == parse_to_tree("sin(x)")
+    assert eval_string(text, None, (0.5,)) == eval_string("sin(x)", None, (0.5,))
+
+
+@pytest.mark.parametrize(
+    "text, nan_on_fault", [(" sin (x) +  y ", False), (" sin (x) +  y ", True), (" log (x - x) +  y ", True)]
+)
+def test_string_visits_are_the_token_count(text, nan_on_fault):
+    # whitespace is no token; the count includes the END token
+    outcome = evaluate(EvalMethod.STRING_PARSE, text, Bindings((0.5, 2.0)), nan_on_fault=nan_on_fault)
+    assert outcome.visits == len(tokenize(text))
+
+
+# Texts for the differential test against the Token-based grammar loop:
+# valid sources with a few pieces (valid, bad and overflowing numbers,
+# unknown names, stray characters) or whitespace inserted anywhere; the
+# same pieces joined with or without whitespace; free text.
+_PIECES = [
+    "x", "y", "z", "w", "sin", "log", "sqrt", "foo", "e",
+    "0", "1", "2.5", "1e3", "0.0", "1e999", "2.", "1e", "3.5e-", "7.5.",
+    "+", "-", "*", "/", "^", "(", ")", "@", "\u00e9", "\u0663",
+]
+_SEPARATORS = st.sampled_from(["", "", "", " ", "\t", "\n "])
+
+
+@st.composite
+def _edited_sources(draw):
+    text = to_source(draw(trees()))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_PIECES) | _SEPARATORS) + text[at:]
+    return text
+
+
+_texts = (
+    _edited_sources()
+    | st.lists(st.tuples(st.sampled_from(_PIECES), _SEPARATORS), max_size=20).map(
+        lambda parts: "".join(piece + sep for piece, sep in parts)
+    )
+    | st.text(alphabet="xyzw sinlog+-*/^(). 0123456789e@\t", max_size=30)
+)
+_XYZ = SymbolTable(("x", "y", "z"))
+
+
+def _outcome(run):
+    """What ``run()`` gives, as something ``==`` compares exactly."""
+    try:
+        got = run()
+    except ParseError as err:
+        return "ParseError", err.kind, err.position, err.message
+    except DomainFaultError as err:
+        return "DomainFaultError", err.op
+    except UnboundVariableError as err:
+        return "UnboundVariableError", err.index
+    if isinstance(got, tuple):  # (value, tokens consumed): compare the value's bits
+        return float.hex(got[0]), got[1]
+    return got
+
+
+@settings(max_examples=300)
+@given(text=_texts, values=st.lists(_points, max_size=3))
+def test_lexeme_loop_matches_token_loop(text, values):
+    b = Bindings(values)
+    assert _outcome(lambda: parse_to_tree(text, _XYZ)) == _outcome(
+        lambda: reference_grammar.parse_to_tree(text, _XYZ)
+    )
+    assert _outcome(lambda: interpret_string(text, _XYZ, b)) == _outcome(
+        lambda: reference_grammar.interpret_string(text, _XYZ, b)
+    )
 
 
 _DEPTH = 10**4
