@@ -5,7 +5,8 @@
     python3 scripts/bench_pairs.py --workload long-chains --base HEAD~1
 
 The base revision (default HEAD, so the uncommitted change is measured) is
-checked out into a temporary ``git worktree``, removed again at the end.
+extracted with ``git archive`` into a temporary directory, removed again at
+the end; the repository's ``.git`` is not written to.
 Each pair runs ``perfbench/run.py --trace 0`` once in that checkout and
 once in the working tree, each with its own copy of perfbench, for
 BENCHMARK.json's ``run_seconds``; the side that runs first alternates
@@ -18,6 +19,7 @@ interquartile spread. Run it from anywhere in the repo.
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -76,18 +78,19 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         base_dir = Path(tmp) / "base"
-        subprocess.run(git + ["worktree", "add", "--detach", "--quiet", str(base_dir), args.base],
+        base_dir.mkdir()
+        archive = Path(tmp) / "base.tar"
+        # From the top level: run in a subdirectory, git archive packs only that subtree.
+        subprocess.run(["git", "-C", str(root), "archive", "--format=tar", f"--output={archive}", args.base],
                        check=True)
-        try:
-            sides = {"base": base_dir, "change": root}
-            runs: dict[str, list[dict]] = {"base": [], "change": []}
-            for i in range(args.pairs):
-                order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                for side in order:
-                    runs[side].append(run_once(sides[side], args.workload, args.seed, seconds))
-                print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
-        finally:
-            subprocess.run(git + ["worktree", "remove", "--force", str(base_dir)], check=False)
+        shutil.unpack_archive(archive, base_dir)
+        sides = {"base": base_dir, "change": root}
+        runs: dict[str, list[dict]] = {"base": [], "change": []}
+        for i in range(args.pairs):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for side in order:
+                runs[side].append(run_once(sides[side], args.workload, args.seed, seconds))
+            print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
 
     print(f"workload {args.workload} seed {args.seed} {seconds:g} s, {args.pairs} pairs, "
           f"base {args.base} vs working tree")

@@ -127,11 +127,7 @@ class BenchReport:
 
     @property
     def methods(self) -> tuple[EvalMethod, ...]:
-        seen = []
-        for c in self.cells:
-            if c.method not in seen:
-                seen.append(c.method)
-        return tuple(seen)
+        return tuple(dict.fromkeys(c.method for c in self.cells))
 
     @property
     def expression_ids(self) -> tuple[int, ...]:
@@ -198,23 +194,16 @@ def _make_sweep(
 
         return sweep
     text = EXPRESSIONS[expression_id]
-    if method is EvalMethod.BINARY_TREE:
+    if method is EvalMethod.BINARY_TREE or method is EvalMethod.NARY_TREE:
         tree = parse_to_tree(text)
+        walk = binary_value
+        if method is EvalMethod.NARY_TREE:
+            tree, walk = flatten(tree), nary_value
 
         def sweep(points, bindings_list) -> float:
             acc = 0.0
             for b in bindings_list:
-                acc += binary_value(tree, b)
-            return acc
-
-        return sweep
-    if method is EvalMethod.NARY_TREE:
-        tree = flatten(parse_to_tree(text))
-
-        def sweep(points, bindings_list) -> float:
-            acc = 0.0
-            for b in bindings_list:
-                acc += nary_value(tree, b)
+                acc += walk(tree, b)
             return acc
 
         return sweep
@@ -470,18 +459,8 @@ def emit_report(report: BenchReport, format: str = "table") -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_FIELDS)
         for cell in report.cells:
-            writer.writerow(
-                [
-                    cell.method.value,
-                    cell.expression_id,
-                    _g17(cell.median_s),
-                    _g17(cell.min_s),
-                    _g17(cell.evals_per_s),
-                    report.n_points,
-                    report.repetitions,
-                    report.seed,
-                ]
-            )
+            record = _cell_record(report, cell)
+            writer.writerow(_g17(v) if isinstance(v, float) else v for v in map(record.get, _CSV_FIELDS))
         return buf.getvalue()
     if format == "json":
         payload = {

@@ -134,9 +134,7 @@ def cmd_eval(args) -> int:
         _print_parse_error(args.expr, err)
         return EXIT_USAGE
 
-    bound = {}
-    for name, value in binds:
-        bound[symbols.variable_index(name)] = value
+    bound = {symbols.variable_index(name): value for name, value in binds}
     referenced = variable_indices(tree)
     missing = sorted(referenced - set(bound))
     if missing:
@@ -184,8 +182,9 @@ def cmd_validate(args) -> int:
         )
     except ValidationFailureError as err:
         report = err.report
-        for check in report.checks:
-            print(_check_line(check))
+    for check in report.checks:
+        print(_check_line(check))
+    if not report.passed:
         worst = report.worst()
         pair = " vs ".join(m.value for m in worst.worst_pair)
         print(
@@ -194,8 +193,6 @@ def cmd_validate(args) -> int:
             f"> tolerance {report.tolerance:.1e} at point {worst.worst_point}"
         )
         return EXIT_VALIDATION
-    for check in report.checks:
-        print(_check_line(check))
     print(f"PASS: all methods agree to {args.digits} significant digits "
           f"(tolerance {report.tolerance:.1e}, {args.points} points, seed {args.seed})")
     return EXIT_OK

@@ -29,7 +29,7 @@ from .errors import (
     MethodSourceMismatchError,
     UnknownFunctionIdError,
 )
-from .parser import DEFAULT_SYMBOLS, SymbolTable, interpret_string, tokenize
+from .parser import DEFAULT_SYMBOLS, SymbolTable, interpret_string
 from .tree import UNARY_FUNCTIONS, Bindings, ExprNode, OpKind, _preorder, _raise_unbound, as_bindings, count_nodes
 
 
@@ -283,11 +283,5 @@ def evaluate(
     if method is EvalMethod.STRING_PARSE:
         if not isinstance(source, str):
             raise MethodSourceMismatchError(f"STRING_PARSE needs a string, got {type(source).__name__}")
-        try:
-            value, tokens = interpret_string(source, symbols or DEFAULT_SYMBOLS, b)
-        except DomainFaultError:
-            if not nan_on_fault:
-                raise
-            return _new_outcome(EvalOutcome, (math.nan, len(tokenize(source))))
-        return _new_outcome(EvalOutcome, (value, tokens))
+        return _new_outcome(EvalOutcome, interpret_string(source, symbols or DEFAULT_SYMBOLS, b, nan_on_fault))
     raise MethodSourceMismatchError(f"unknown method {method!r}")

@@ -39,8 +39,9 @@ the text wins, as if the text had been tokenized first, and otherwise the
 failing lexeme's ``Token`` gives the error its position. ``tokenize``
 stays public API; a ``Token`` is a named tuple, built in the scanner
 straight from a plain tuple. The tree actions make their nodes
-with the unchecked ``tree._trusted_node`` (the ``tree`` docstring says why
-that is safe) and reuse one leaf per variable index within a parse.
+with the unchecked ``tree._Node``, passing the node counts they already
+know (the ``tree`` docstring says why that is safe), and reuse one leaf per
+variable index within a parse.
 """
 
 import enum
@@ -56,8 +57,8 @@ from .tree import (
     Bindings,
     ExprNode,
     OpKind,
+    _Node,
     _raise_unbound,
-    _trusted_node,
     as_bindings,
 )
 
@@ -252,11 +253,11 @@ def _value_call(name: str):
 
 
 def _tree_binary(kind: OpKind):
-    return lambda left, right: _trusted_node(kind, None, None, None, (left, right))
+    return lambda left, right: _Node(kind, None, None, None, (left, right), left._size + right._size + 1)
 
 
 def _tree_call(name: str):
-    return lambda arg: _trusted_node(OpKind.UNARY_FN, None, None, name, (arg,))
+    return lambda arg: _Node(OpKind.UNARY_FN, None, None, name, (arg,), arg._size + 1)
 
 
 # lexeme -> (reduction threshold, precedence, tree kind, value action). "^"
@@ -280,8 +281,8 @@ class _Actions(NamedTuple):
 
 
 _TREE_ACTIONS = _Actions(
-    lambda value: _trusted_node(OpKind.CONSTANT, value, None, None, ()),
-    (_NEGATE_PRECEDENCE, lambda arg: _trusted_node(OpKind.NEGATE, None, None, None, (arg,))),
+    lambda value: _Node(OpKind.CONSTANT, value, None, None, (), 1),
+    (_NEGATE_PRECEDENCE, lambda arg: _Node(OpKind.NEGATE, None, None, None, (arg,), arg._size + 1)),
     {lexeme: (threshold, (prec, _tree_binary(kind)))
      for lexeme, (threshold, prec, kind, _) in _BINARY.items()},
     {name: (0, _tree_call(name)) for name in UNARY_FUNCTIONS},
@@ -299,7 +300,7 @@ class _Leaves(dict):
     """Variable index -> this parse's leaf, made on first use."""
 
     def __missing__(self, index: int) -> ExprNode:
-        leaf = self[index] = _trusted_node(OpKind.VARIABLE, None, index, None, ())
+        leaf = self[index] = _Node(OpKind.VARIABLE, None, index, None, (), 1)
         return leaf
 
 
@@ -420,13 +421,16 @@ def parse_to_tree(text: str, symbols: SymbolTable | None = None) -> ExprNode:
     return _run(_LEXEMES(text), text, symbols, _Leaves().__getitem__, _TREE_ACTIONS)
 
 
-def interpret_string(text: str, symbols: SymbolTable, bindings: Bindings) -> tuple[float, int]:
-    """Directly evaluate ``text``; returns (value, tokens consumed)."""
+def interpret_string(text: str, symbols: SymbolTable, bindings: Bindings, nan_on_fault=False) -> tuple[float, int]:
+    """Directly evaluate ``text``; returns (value, tokens consumed). With
+    ``nan_on_fault`` a domain fault gives NaN instead of raising."""
     lexemes = _LEXEMES(text)
     try:
         return _run(lexemes, text, symbols, bindings.__getitem__, _VALUE_ACTIONS), len(lexemes)
     except DomainFaultError:
         tokenize(text)  # a lexical error anywhere in the text comes first
+        if nan_on_fault:
+            return math.nan, len(lexemes)
         raise
     except IndexError:
         tokenize(text)

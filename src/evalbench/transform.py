@@ -7,14 +7,14 @@ floating-point addition is not associative, so reordering could change
 results. Difference, quotient and power are never collapsed; no algebraic
 rewriting (a-b into a + (-1*b), etc.) is performed.
 
-Nodes are built with the unchecked ``tree._trusted_node``: regrouping the
+Nodes are built with the unchecked ``tree._Node``: regrouping the
 children of a valid tree keeps every arity and function name valid. The
 input must therefore be valid; a tree built through the ``make_*``
 constructors or by the parser is, while one built directly with
 ``ExprNode(...)`` is not checked, and its faults show only in evaluation.
 """
 
-from .tree import ASSOCIATIVE_KINDS, ExprNode, _trusted_node, count_nodes
+from .tree import ASSOCIATIVE_KINDS, ExprNode, _Node, count_nodes
 
 
 def flatten(tree: ExprNode) -> ExprNode:
@@ -34,7 +34,10 @@ def flatten(tree: ExprNode) -> ExprNode:
             else:
                 merged.append(child)
         flat_children = merged
-    return _trusted_node(kind, None, None, tree.fn_name, tuple(flat_children))
+    size = 1
+    for child in flat_children:
+        size += child._size
+    return _Node(kind, None, None, tree.fn_name, tuple(flat_children), size)
 
 
 def flatten_stats(tree: ExprNode) -> tuple[int, int]:

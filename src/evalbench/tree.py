@@ -9,8 +9,9 @@ Every node also stores its subtree's node count when it is built, so
 ``count_nodes`` is O(1). A subtree shared by several parents counts once
 per occurrence, exactly as a walk would enter it.
 
-``_trusted_node`` builds a node with none of those checks. Only code whose
-own input rules already guarantee them may call it: the parser (the
+``_Node(kind, value, var_index, fn_name, children, size)`` builds a node
+with none of those checks, taking the node count from its caller. Only code
+whose own input rules already guarantee them may call it: the parser (the
 lexer rejects non-finite constants, the symbol table admits only known
 function names and the grammar fixes every arity) and ``flatten`` (which
 only regroups the children of a tree it assumes valid). Public callers use
@@ -23,7 +24,7 @@ evaluation entry points turn that into ``UnboundVariableError``.
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -75,55 +76,60 @@ _ARITY = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class ExprNode:
+class _Node:
+    """Mutable twin of ``ExprNode``: ``_Node(...)`` fills the slots unchecked,
+    then re-classes the node as a frozen ``ExprNode`` before returning it."""
+
+    __slots__ = ("kind", "value", "var_index", "fn_name", "children", "_size")
+
+    def __init__(self, kind, value, var_index, fn_name, children, size):
+        self.kind = kind
+        self.value = value
+        self.var_index = var_index
+        self.fn_name = fn_name
+        self.children = children
+        self._size = size
+        self.__class__ = ExprNode
+
+
+class ExprNode(_Node):
     """One immutable tree node. Build through the ``make_*`` constructors.
 
     A node built directly with ``ExprNode(...)`` is not checked; ``flatten``
-    and the evaluators assume a valid tree."""
+    and the evaluators assume a valid tree. Equality, hashing and ``repr``
+    use no recursion, so they work at any depth; nodes pickle and copy."""
 
-    kind: OpKind
-    value: float | None = None
-    var_index: int | None = None
-    fn_name: str | None = None
-    children: tuple["ExprNode", ...] = ()
-    _size: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
+    __init__ = object.__init__  # _Node's __init__ has already run in __new__
 
-    def __post_init__(self) -> None:
-        size = 1
-        for child in self.children:
-            size += child._size
-        object.__setattr__(self, "_size", size)
+    def __new__(cls, kind, value=None, var_index=None, fn_name=None, children=()):
+        return _Node(kind, value, var_index, fn_name, children, 1 + sum(child._size for child in children))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ExprNode, (self.kind, self.value, self.var_index, self.fn_name, self.children)
+
+    def __eq__(self, other):
+        if not isinstance(other, ExprNode):
+            return NotImplemented
+        return _shapes(self) == _shapes(other)
+
+    def __hash__(self):
+        return hash(_shapes(self))
+
+    def __repr__(self):
+        return _render(self, _repr_head, ", ", lambda node: ",))" if len(node.children) == 1 else "))")
 
 
-_new_node = object.__new__
-# Slot descriptors write past the frozen ``__setattr__`` without its lookup.
-_set_kind, _set_value, _set_var_index, _set_fn_name, _set_children, _set_size = (
-    ExprNode.__dict__[name].__set__
-    for name in ("kind", "value", "var_index", "fn_name", "children", "_size")
-)
-
-
-def _trusted_node(
-    kind: OpKind,
-    value: float | None,
-    var_index: int | None,
-    fn_name: str | None,
-    children: tuple[ExprNode, ...],
-) -> ExprNode:
-    """Node built without validation; the caller guarantees what ``make_*``
-    would check (see the module docstring)."""
-    node = _new_node(ExprNode)
-    _set_kind(node, kind)
-    _set_value(node, value)
-    _set_var_index(node, var_index)
-    _set_fn_name(node, fn_name)
-    _set_children(node, children)
-    size = 1
-    for child in children:
-        size += child._size
-    _set_size(node, size)
-    return node
+def _shapes(tree: ExprNode) -> tuple:
+    """Each node's fields and child count, in preorder: they fix the tree."""
+    return tuple((node.kind, node.value, node.var_index, node.fn_name, len(node.children))
+                 for node, _ in _preorder(tree))
 
 
 def make_constant(v: float) -> ExprNode:
@@ -248,21 +254,36 @@ def format_tree(tree: ExprNode) -> str:
     return "\n".join("  " * depth + _node_label(node) for node, depth in _preorder(tree))
 
 
-def to_sexpr(tree: ExprNode) -> str:
-    """Machine-readable nested-list form, e.g. ``(sum (var 0) (const 1.0))``."""
+def _render(tree: ExprNode, head, sep: str, tail) -> str:
+    """Text of ``tree``: per node, ``head(node)``, the children's texts
+    separated by ``sep``, then ``tail(node)``. Explicit stack, any depth."""
     parts: list[str] = []
     stack: list = [tree]  # nodes still to render, and text to emit after them
     while stack:
         node = stack.pop()
         if isinstance(node, str):
             parts.append(node)
-        elif node.kind is OpKind.CONSTANT:
-            parts.append(f"(const {node.value!r})")
-        elif node.kind is OpKind.VARIABLE:
-            parts.append(f"(var {node.var_index})")
-        else:
-            parts.append(f"(fn {node.fn_name} " if node.kind is OpKind.UNARY_FN else f"({node.kind.value} ")
-            stack.append(")")
-            for i, child in enumerate(reversed(node.children)):
-                stack.extend((" ", child) if i else (child,))
+            continue
+        parts.append(head(node))
+        stack.append(tail(node))
+        for i, child in enumerate(reversed(node.children)):
+            stack.extend((sep, child) if i else (child,))
     return "".join(parts)
+
+
+def _repr_head(node: ExprNode) -> str:
+    return (f"ExprNode(kind={node.kind!r}, value={node.value!r}, var_index={node.var_index!r}, "
+            f"fn_name={node.fn_name!r}, children=(")
+
+
+def _sexpr_head(node: ExprNode) -> str:
+    if node.kind is OpKind.CONSTANT:
+        return f"(const {node.value!r}"
+    if node.kind is OpKind.VARIABLE:
+        return f"(var {node.var_index}"
+    return f"(fn {node.fn_name} " if node.kind is OpKind.UNARY_FN else f"({node.kind.value} "
+
+
+def to_sexpr(tree: ExprNode) -> str:
+    """Machine-readable nested-list form, e.g. ``(sum (var 0) (const 1.0))``."""
+    return _render(tree, _sexpr_head, " ", lambda node: ")")

@@ -25,7 +25,7 @@ from evalbench.parser import (
     _value_call,
     tokenize,
 )
-from evalbench.tree import UNARY_FUNCTIONS, Bindings, ExprNode, OpKind, _raise_unbound, _trusted_node
+from evalbench.tree import UNARY_FUNCTIONS, Bindings, ExprNode, OpKind, _raise_unbound
 
 # Operator-stack entries are (precedence, action) pairs. An incoming binary
 # operator first reduces every entry whose precedence reaches its threshold.
@@ -61,8 +61,8 @@ class _Actions(NamedTuple):
 
 
 _TREE_ACTIONS = _Actions(
-    lambda value: _trusted_node(OpKind.CONSTANT, value, None, None, ()),
-    (_NEGATE_PRECEDENCE, lambda arg: _trusted_node(OpKind.NEGATE, None, None, None, (arg,))),
+    lambda value: ExprNode(OpKind.CONSTANT, value),
+    (_NEGATE_PRECEDENCE, lambda arg: ExprNode(OpKind.NEGATE, children=(arg,))),
     {tag: (threshold, (prec, _tree_binary(kind)))
      for tag, (threshold, prec, kind, _) in _BINARY.items()},
     {name: (0, _tree_call(name)) for name in UNARY_FUNCTIONS},

@@ -28,6 +28,8 @@ from evalbench import (
     evaluate,
     tokenize,
 )
+import evalbench.evaluators as evaluators_module
+import evalbench.parser as parser_module
 from evalbench.evaluators import binary_value
 from evalbench.parser import TokenTag, interpret_string
 import reference_grammar
@@ -392,6 +394,20 @@ def test_string_visits_are_the_token_count(text, nan_on_fault):
     # whitespace is no token; the count includes the END token
     outcome = evaluate(EvalMethod.STRING_PARSE, text, Bindings((0.5, 2.0)), nan_on_fault=nan_on_fault)
     assert outcome.visits == len(tokenize(text))
+
+
+def test_faulting_string_is_tokenized_once(monkeypatch):
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(parser_module, "tokenize", counted)
+    monkeypatch.setattr(evaluators_module, "tokenize", counted, raising=False)
+    outcome = evaluate(EvalMethod.STRING_PARSE, "log(x-x)+y", Bindings((0.5, 2.0)), nan_on_fault=True)
+    assert math.isnan(outcome.value) and outcome.visits == len(tokenize("log(x-x)+y"))
+    assert calls == ["log(x-x)+y"]
 
 
 # Texts for the differential test against the Token-based grammar loop:

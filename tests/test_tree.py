@@ -1,5 +1,10 @@
+import copy
 import dataclasses
 import math
+import pickle
+import random
+import sys
+import types
 
 import pytest
 from hypothesis import given
@@ -12,15 +17,20 @@ from evalbench import (
     LeafKindError,
     NonFiniteValueError,
     OpKind,
+    SymbolTable,
     UnknownFunctionError,
     count_nodes,
+    flatten,
     is_binary_form,
     make_constant,
     make_op,
     make_variable,
     parse_to_tree,
 )
-from strategies import handbuilt_binary_tree, handbuilt_nary_tree
+from evalbench.tree import _preorder
+from strategies import handbuilt_binary_tree, handbuilt_nary_tree, random_tree, to_source, trees
+
+_XYZ = SymbolTable(("x", "y", "z"))
 
 
 def test_make_constant():
@@ -120,6 +130,96 @@ def test_nodes_are_immutable():
         node.value = 2.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         node.children = ()
+    for field in ("kind", "value", "var_index", "fn_name", "children", "_size"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, field, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, field)
+    assert node == make_constant(1.0) and count_nodes(node) == 1
+    # a look-alike with every field is still not a node
+    fake = types.SimpleNamespace(kind=OpKind.CONSTANT, value=1.0, var_index=None, fn_name=None, children=(), _size=1)
+    with pytest.raises(TypeError):
+        make_op(OpKind.NEGATE, (fake,))
+
+
+def _every_node_is_frozen(tree):
+    return all(type(node) is ExprNode for node, _ in _preorder(tree))
+
+
+@given(tree=trees())
+def test_no_mutable_node_escapes(tree):
+    parsed = parse_to_tree(to_source(tree), _XYZ)
+    for built in (tree, flatten(tree), parsed, flatten(parsed)):
+        assert _every_node_is_frozen(built)
+
+
+def _deep_pair(text_of):
+    """Two separately parsed trees of ``text_of(deepest leaf)``, and a third
+    whose deepest leaf differs."""
+    return parse_to_tree(text_of("x")), parse_to_tree(text_of("x")), parse_to_tree(text_of("y"))
+
+
+@pytest.mark.parametrize(
+    "text_of",
+    [
+        lambda leaf: "sin(" * 10**4 + leaf + ")" * 10**4,
+        lambda leaf: "+".join([f"{leaf}*y"] + ["x*y"] * (10**4 - 1)),
+    ],
+    ids=["nested-sin", "sum-of-products"],
+)
+def test_equality_hash_and_repr_at_any_depth(text_of):
+    limit = sys.getrecursionlimit()
+    a, b, changed = _deep_pair(text_of)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != changed and not a == changed
+    text = repr(a)
+    assert text.startswith("ExprNode(kind=") and text == repr(b) and text != repr(changed)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_nodes_pickle_and_copy():
+    parsed = parse_to_tree("sin(x)*2.5 + y^-x - x*y*x/3")
+    built = make_op(OpKind.SUM, (make_variable(0), make_constant(-0.0), make_op(OpKind.NEGATE, (make_variable(1),))))
+    for tree in (parsed, flatten(parsed), built):
+        for copied in (pickle.loads(pickle.dumps(tree)), copy.copy(tree), copy.deepcopy(tree)):
+            assert type(copied) is ExprNode and _every_node_is_frozen(copied)
+            assert copied == tree and hash(copied) == hash(tree)
+            assert count_nodes(copied) == count_nodes(tree) and repr(copied) == repr(tree)
+
+
+def test_equality_and_hash_follow_the_fields():
+    x = make_variable(0)
+    assert make_op(OpKind.SUM, (x, make_constant(0.0))) == make_op(OpKind.SUM, (x, make_constant(-0.0)))
+    assert hash(make_constant(0.0)) == hash(make_constant(-0.0))
+    # the same nodes in preorder, grouped differently
+    y, z = make_variable(1), make_variable(2)
+    assert make_op(OpKind.SUM, (make_op(OpKind.SUM, (x, y)), z, x)) != make_op(
+        OpKind.SUM, (make_op(OpKind.SUM, (x, y, z)), x)
+    )
+    assert make_op(OpKind.UNARY_FN, (x,), "sin") != make_op(OpKind.UNARY_FN, (x,), "cos")
+    assert make_variable(0) != make_variable(1) and make_constant(1.0) != make_variable(1)
+    assert x.__eq__(0) is NotImplemented and x != 0 and x != (OpKind.VARIABLE, None, 0, None, 0)
+    assert len({parse_to_tree("x+y"), parse_to_tree("x+y"), parse_to_tree("y+x")}) == 2
+
+
+# The field layout and repr of the frozen dataclass that ExprNode once was.
+_DataclassNode = dataclasses.make_dataclass(
+    "ExprNode", ["kind", "value", "var_index", "fn_name", "children"], frozen=True
+)
+
+
+def _as_dataclass(node):
+    return _DataclassNode(
+        node.kind, node.value, node.var_index, node.fn_name, tuple(_as_dataclass(c) for c in node.children)
+    )
+
+
+def test_repr_is_the_dataclass_repr():
+    rng = random.Random(7)
+    for _ in range(2000):
+        tree = parse_to_tree(to_source(random_tree(rng, 5)), _XYZ)
+        for shown in (tree, flatten(tree)):
+            assert repr(shown) == repr(_as_dataclass(shown))
 
 
 _RULES = {
