@@ -5,22 +5,14 @@ routines, binary expression trees, n-ary expression trees (like-operator
 chains collapsed into one node) or direct string interpretation; the
 benchmark harness cross-validates the strategies against each other and
 times them on a shared seeded point set.
+
+The harness names (``run_benchmark``, ``cross_validate``, ...) are loaded
+from ``evalbench.benchmark`` when first used, so evaluating expressions
+never pays for importing the harness.
 """
 
-from .benchmark import (
-    ALL_METHODS,
-    BenchCell,
-    BenchConfig,
-    BenchReport,
-    EXPRESSIONS,
-    ExpressionCheck,
-    METHOD_LABELS,
-    ValidationReport,
-    cross_validate,
-    emit_report,
-    generate_inputs,
-    run_benchmark,
-)
+import importlib
+
 from .errors import (
     ArityMismatchError,
     ClockUnavailableError,
@@ -71,3 +63,14 @@ from .tree import (
 )
 
 __version__ = "0.1.0"
+
+_BENCHMARK_NAMES = frozenset("""
+    ALL_METHODS BenchCell BenchConfig BenchReport EXPRESSIONS ExpressionCheck METHOD_LABELS
+    ValidationReport cross_validate emit_report generate_inputs run_benchmark
+""".split())
+
+
+def __getattr__(name):
+    if name in _BENCHMARK_NAMES:
+        return getattr(importlib.import_module(".benchmark", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,6 +17,14 @@ than calling themselves on them. Sums and products are the operators that
 flattening merges, so the calls both forms would spend on those leaves are
 gone, and what separates the walkers is the one call the n-ary form saves
 per collapsed node.
+
+Both walkers work at any depth without touching the recursion limit. A
+subtree's height is at most its node count, which every node stores, so a
+subtree of at most ``_DEEP`` nodes is walked by plain recursion. A larger
+one goes to ``_deep_value``, one explicit-stack post-order loop shared by
+both walkers, which hands every subtree of ``_DEEP`` nodes or fewer back to
+the recursive walker. It keeps reading order, so values and the first fault
+are the same either way.
 """
 
 import enum
@@ -116,6 +124,11 @@ _POWER = OpKind.POWER
 _NEGATE = OpKind.NEGATE
 _new_outcome = tuple.__new__  # EvalOutcome from a 2-tuple, skipping its Python __new__
 
+#: Largest subtree the walkers enter by recursion: its height is at most its
+#: node count, so a walk started below the recursion limit's last few
+#: hundred frames stays inside it. At least 3, the size of ``_apply``'s node.
+_DEEP = 300
+
 
 def binary_value(node: ExprNode, bindings: Bindings) -> float:
     """Evaluate a binary-form tree; every sum and product has two children.
@@ -125,6 +138,8 @@ def binary_value(node: ExprNode, bindings: Bindings) -> float:
         return node.value
     if kind is _VARIABLE:
         return bindings[node.var_index]
+    if node._size > _DEEP:
+        return _deep_value(node, bindings, binary_value)
     children = node.children
     if kind is _SUM:
         try:
@@ -183,6 +198,8 @@ def nary_value(node: ExprNode, bindings: Bindings) -> float:
         return node.value
     if kind is _VARIABLE:
         return bindings[node.var_index]
+    if node._size > _DEEP:
+        return _deep_value(node, bindings, nary_value)
     children = node.children
     if kind is _SUM:
         ret = -0.0  # the exact additive identity: -0.0 + v is v, sign of zero included
@@ -221,6 +238,61 @@ def nary_value(node: ExprNode, bindings: Bindings) -> float:
         return UNARY_FUNCTIONS[node.fn_name](arg)
     except (ValueError, OverflowError):
         raise DomainFaultError(node.fn_name, (arg,)) from None
+
+
+def _deep_value(node: ExprNode, bindings: Bindings, walker) -> float:
+    """``walker``'s value of ``node``, a tree of more than ``_DEEP`` nodes: a
+    post-order loop, on an explicit stack, over its subtrees of more than
+    ``_DEEP`` nodes, that hands every smaller child to ``walker``. Sums and
+    products fold in place from -0.0 and 1.0 (under ``binary_value`` they
+    must have two children); ``_apply`` finishes the other kinds."""
+    binary = walker is binary_value
+    # Each unfinished ancestor's node, next child index and fold, laid flat:
+    # a frame object per level would keep thousands of new objects alive for
+    # the garbage collector to promote and rescan during a long walk.
+    stack = []
+    child, node, kind, children, n, i, acc = node, None, None, (), 0, 0, None  # node None: the caller's frame
+    while True:
+        if child._size > _DEEP:
+            stack += node, i, acc
+            node, kind, children, i = child, child.kind, child.children, 0
+            n = len(children)
+            if kind is _SUM or kind is _PRODUCT:
+                if binary and n != 2:
+                    raise ArityMismatchError(kind, n, "exactly 2 (binary form)")
+                acc = -0.0 if kind is _SUM else 1.0
+            else:
+                acc = ()  # the operands, in order
+        else:
+            k = child.kind
+            value = (bindings[child.var_index] if k is _VARIABLE
+                     else child.value if k is _CONSTANT else walker(child, bindings))
+            while True:  # fold value into node, finishing every node it completes
+                if kind is _SUM:
+                    acc += value
+                elif kind is _PRODUCT:
+                    acc *= value
+                else:
+                    acc += (value,)
+                if i < n:
+                    break
+                value = acc if kind is _SUM or kind is _PRODUCT else _apply(walker, node, acc, bindings)
+                acc = stack.pop()
+                i = stack.pop()
+                node = stack.pop()
+                if node is None:
+                    return value
+                kind, children = node.kind, node.children
+                n = len(children)
+        child = children[i]
+        i += 1
+
+
+def _apply(walker, node, operands, bindings):
+    """``node``'s operator applied to ``operands`` by ``walker`` itself, so
+    the operator and fault rules live in the walker alone."""
+    leaves = tuple(ExprNode(_CONSTANT, value) for value in operands)
+    return walker(ExprNode(node.kind, fn_name=node.fn_name, children=leaves), bindings)
 
 
 def _outcome(walker, tree: ExprNode, bindings: Bindings, nan_on_fault: bool) -> EvalOutcome:

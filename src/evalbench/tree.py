@@ -13,8 +13,9 @@ per occurrence, exactly as a walk would enter it.
 with none of those checks, taking the node count from its caller. Only code
 whose own input rules already guarantee them may call it: the parser (the
 lexer rejects non-finite constants, the symbol table admits only known
-function names and the grammar fixes every arity) and ``flatten`` (which
-only regroups the children of a tree it assumes valid). Public callers use
+function names and the grammar fixes every arity), ``flatten`` (which
+only regroups the children of a tree it assumes valid) and ``_rebuild``
+(which restores a pickled or copied tree). Public callers use
 ``make_*``; a node built directly with ``ExprNode(...)`` is not checked.
 
 ``Bindings`` is a tuple of finite floats. The walkers index it directly,
@@ -97,7 +98,8 @@ class ExprNode(_Node):
 
     A node built directly with ``ExprNode(...)`` is not checked; ``flatten``
     and the evaluators assume a valid tree. Equality, hashing and ``repr``
-    use no recursion, so they work at any depth; nodes pickle and copy."""
+    use no recursion, and neither do pickling and copying, so all of them
+    work at any depth."""
 
     __slots__ = ()
     __init__ = object.__init__  # _Node's __init__ has already run in __new__
@@ -112,7 +114,7 @@ class ExprNode(_Node):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return ExprNode, (self.kind, self.value, self.var_index, self.fn_name, self.children)
+        return _rebuild, (_shapes(self),)
 
     def __eq__(self, other):
         if not isinstance(other, ExprNode):
@@ -130,6 +132,17 @@ def _shapes(tree: ExprNode) -> tuple:
     """Each node's fields and child count, in preorder: they fix the tree."""
     return tuple((node.kind, node.value, node.var_index, node.fn_name, len(node.children))
                  for node, _ in _preorder(tree))
+
+
+def _rebuild(shapes: tuple) -> ExprNode:
+    """The tree whose ``_shapes`` are ``shapes``, built from the last node
+    back with an explicit stack, so pickling and copying work at any depth."""
+    built: list[ExprNode] = []  # the subtrees built so far, the leftmost on top
+    for kind, value, var_index, fn_name, n in reversed(shapes):
+        children = tuple(built[:-n - 1:-1])
+        del built[len(built) - n:]
+        built.append(_Node(kind, value, var_index, fn_name, children, 1 + sum(c._size for c in children)))
+    return built[0]
 
 
 def make_constant(v: float) -> ExprNode:

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import evalbench
 
 from evalbench import (
     ALL_METHODS,
@@ -220,3 +226,17 @@ def test_expression_suite_contents():
         7: "x+y+1",
         8: "2*x*y*(x+y+1)",
     }
+
+
+def test_harness_is_imported_on_first_use():
+    src = str(Path(evalbench.__file__).resolve().parent.parent)
+    code = (
+        "import sys, evalbench\n"
+        "assert 'evalbench.benchmark' not in sys.modules\n"
+        "from evalbench import run_benchmark, EXPRESSIONS\n"
+        "assert run_benchmark is sys.modules['evalbench.benchmark'].run_benchmark and EXPRESSIONS\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    with pytest.raises(AttributeError):
+        evalbench.no_such_name

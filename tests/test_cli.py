@@ -127,6 +127,20 @@ def test_parse_prints_deeply_nested_tree(capsys, dump):
         assert lines[-1] == "  " * depth + "var[0]"
 
 
+def test_eval_tree_methods_on_deeply_nested_text(capsys):
+    depth = 2000
+    expr = "sin(" * depth + "x" + ")" * depth
+    outs = []
+    for method in ("string", "binary", "nary"):
+        code, out, err = run(capsys, "eval", "--expr", expr, "--method", method, "--bind", "x=0.5")
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+    code, out, err = run(capsys, "parse", "--expr", expr, "--flatten")
+    assert code == 0 and err == ""
+    assert len(out.strip().splitlines()) == depth + 1
+
+
 def test_parse_unbalanced_paren(capsys):
     code, _, err = run(capsys, "parse", "--expr", "(")
     assert code == 1

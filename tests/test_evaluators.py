@@ -30,6 +30,8 @@ from evalbench import (
     parse_to_tree,
 )
 from evalbench.benchmark import EXPRESSIONS
+import evalbench.evaluators as evaluators_module
+from evalbench.evaluators import binary_value, nary_value
 from strategies import bindings, handbuilt_binary_tree, handbuilt_nary_tree, has_like_chain, trees
 
 
@@ -212,6 +214,27 @@ def test_purity_bit_identical(tree, b):
     assert struct.pack("<d", first) == struct.pack("<d", second)
 
 
+def _walk_result(walker, tree, b):
+    """The walk's value, or its first fault, in a form compared bit for bit."""
+    try:
+        return float.hex(walker(tree, b))
+    except DomainFaultError as err:
+        return err.op, tuple(map(float.hex, err.operands))
+    except ArityMismatchError as err:
+        return err.kind, err.got
+
+
+@given(tree=trees(), b=bindings)
+def test_explicit_stack_walk_matches_recursion(tree, b):
+    walks = ((binary_value, tree), (nary_value, tree), (nary_value, flatten(tree)))
+    want = [_walk_result(walker, t, b) for walker, t in walks]
+    with pytest.MonkeyPatch.context() as patch:
+        # the smallest valid value: every node of more than three nodes is
+        # then walked by the explicit-stack driver
+        patch.setattr(evaluators_module, "_DEEP", 3)
+        assert [_walk_result(walker, t, b) for walker, t in walks] == want
+
+
 @given(tree=trees(), binary_tree=trees(binary_only=True), b=bindings)
 def test_visits_equal_node_count(tree, binary_tree, b):
     try:
@@ -223,7 +246,7 @@ def test_visits_equal_node_count(tree, binary_tree, b):
     assert binary_outcome.visits == count_nodes(binary_tree)
 
 
-@pytest.mark.parametrize("text", ["-x+-y", "-x+-y+-x"])
+@pytest.mark.parametrize("text", ["-x+-y", "-x+-y+-x", pytest.param("+".join(["-x"] * 1000), id="deep-sum")])
 def test_sign_of_zero_agrees_across_methods(text):
     b = Bindings((0.0, 0.0))
     tree = parse_to_tree(text)

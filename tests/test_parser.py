@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from evalbench import (
+    ArityMismatchError,
     Bindings,
     DomainFaultError,
     EvalMethod,
@@ -30,7 +31,7 @@ from evalbench import (
 )
 import evalbench.evaluators as evaluators_module
 import evalbench.parser as parser_module
-from evalbench.evaluators import binary_value
+from evalbench.evaluators import binary_value, nary_value
 from evalbench.parser import TokenTag, interpret_string
 import reference_grammar
 import reference_lexer
@@ -471,6 +472,16 @@ def test_lexeme_loop_matches_token_loop(text, values):
 _DEPTH = 10**4
 
 
+def _in_nested_frames(frames, fn):
+    """``fn()`` called from ``frames`` Python frames further down the stack."""
+    return fn() if frames == 0 else _in_nested_frames(frames - 1, fn)
+
+
+def _deep_values(text, b):
+    tree = parse_to_tree(text)
+    return [float.hex(v) for v in (binary_value(tree, b), nary_value(flatten(tree), b), eval_string(text, None, b))]
+
+
 @pytest.mark.parametrize(
     "text, nodes",
     [
@@ -478,10 +489,52 @@ _DEPTH = 10**4
         ("-" * _DEPTH + "x", _DEPTH + 1),
         ("sin(" * _DEPTH + "x" + ")" * _DEPTH, _DEPTH + 1),
         ("^".join(["x"] * _DEPTH), 2 * _DEPTH - 1),
+        # distinct terms, so a change in the order of the additions shows
+        ("+".join(f"{1 + i / _DEPTH!r}*x" for i in range(_DEPTH)), 4 * _DEPTH - 1),
+        ("*".join(["x"] + [repr(1 + i / _DEPTH**2) for i in range(1, _DEPTH)]), 2 * _DEPTH - 1),
     ],
-    ids=["parentheses", "prefix-minus", "nested-sin", "power-chain"],
+    ids=["parentheses", "prefix-minus", "nested-sin", "power-chain", "sum-chain", "product-chain"],
 )
 def test_parser_depth_needs_no_python_stack(text, nodes):
-    assert sys.getrecursionlimit() < _DEPTH
+    limit = sys.getrecursionlimit()
+    assert limit < _DEPTH
     assert count_nodes(parse_to_tree(text)) == nodes
-    assert math.isfinite(eval_string(text, None, (0.5,)))
+    b = Bindings((0.5,))
+    assert math.isfinite(eval_string(text, None, b))
+    # both walkers agree with the string path bit for bit, also with most
+    # of the recursion limit already spent by the caller
+    values = _deep_values(text, b)
+    assert values[0] == values[1] == values[2]
+    assert _in_nested_frames(500, lambda: _deep_values(text, b)) == values
+    assert sys.getrecursionlimit() == limit
+
+
+@pytest.mark.parametrize(
+    "text, op",
+    [
+        # the first fault is the root's operand, finished on the explicit stack
+        ("sqrt(-(" + "+".join(["x"] * _DEPTH) + "))+log(x-x)", "sqrt"),
+        # the first fault sits in a small subtree near the bottom of the chain
+        ("+".join(["x"] * 3 + ["log(x-x)"] + ["x"] * _DEPTH + ["1/(x-x)"]), "log"),
+        ("sin(" * _DEPTH + "x^(x-x-1)/(x-x)" + ")" * _DEPTH + "+sqrt(-x)", "quotient"),
+    ],
+    ids=["deep-operand", "shallow-operand", "nested-quotient"],
+)
+def test_deep_tree_raises_its_first_fault(text, op):
+    b = Bindings((0.5,))
+    tree = parse_to_tree(text)
+    faults = []
+    for run in (lambda: eval_string(text, None, b), lambda: binary_value(tree, b),
+                lambda: nary_value(flatten(tree), b)):
+        with pytest.raises(DomainFaultError) as info:
+            run()
+        faults.append((info.value.op, info.value.operands))
+    assert faults[0][0] == op and faults[1] == faults[0] and faults[2] == faults[0]
+
+
+def test_deep_nary_sum_is_not_binary_form():
+    flat = flatten(parse_to_tree("+".join(["x"] * _DEPTH)))
+    assert len(flat.children) == _DEPTH
+    with pytest.raises(ArityMismatchError) as info:
+        binary_value(flat, Bindings((0.5,)))
+    assert info.value.kind is OpKind.SUM and info.value.got == _DEPTH

@@ -124,6 +124,26 @@ def test_flatten_preserves_semantics(tree, b):
 def test_flatten_idempotent(tree):
     flat = flatten(tree)
     assert flatten(flat) == flat
+    assert flatten(flat) is flat
+
+
+def test_flatten_shares_what_it_does_not_merge():
+    tree = parse_to_tree("x+y+x^y")
+    power = tree.children[1]
+    assert power.kind is OpKind.POWER
+    flat = flatten(tree)
+    assert flat.children == (tree.children[0].children[0], tree.children[0].children[1], power)
+    assert flat.children[2] is power
+
+
+def test_flatten_long_left_chain():
+    terms = 10**4
+    tree = parse_to_tree("+".join(["x"] * (terms - 1) + ["y^x"]))
+    flat = flatten(tree)
+    assert flat.kind is OpKind.SUM and len(flat.children) == terms
+    assert count_nodes(flat) == 1 + (terms - 1) + 3
+    assert flat.children[-1] is tree.children[1]
+    assert flatten(flat) is flat
 
 
 @given(tree=trees())

@@ -174,6 +174,9 @@ def test_equality_hash_and_repr_at_any_depth(text_of):
     assert a != changed and not a == changed
     text = repr(a)
     assert text.startswith("ExprNode(kind=") and text == repr(b) and text != repr(changed)
+    for copied in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert copied is not a and copied == a and copied != changed
+        assert count_nodes(copied) == count_nodes(a) and _every_node_is_frozen(copied)
     assert sys.getrecursionlimit() == limit
 
 
