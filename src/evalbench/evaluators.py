@@ -12,19 +12,25 @@ return the bare value and are what timed loops call; ``eval_binary`` and
 tree's node count. Every walk enters each node exactly once, so counting
 inside the walker would only add per-node cost to the path being timed.
 
-Both walkers read the leaf operands of a sum or product in place rather
-than calling themselves on them. Sums and products are the operators that
-flattening merges, so the calls both forms would spend on those leaves are
-gone, and what separates the walkers is the one call the n-ary form saves
-per collapsed node.
+The two walkers are one function body, built twice by ``_walker``. They
+dispatch on each node's private opcode ``_op``, set once when the node is
+built (see ``tree._Node``), in one branch order. Every operand that is a
+leaf, under any operator, is read in place (``bindings[var_index]`` or
+``.value``) rather than walked, so a walker is entered only at interior
+nodes and at the root. A sum or product with exactly two children runs the
+same unpack code in both walkers; only the nodes ``flatten`` merged carry a
+fold opcode, which the n-ary walker folds and the binary walker rejects
+with ``ArityMismatchError``. What separates the walkers is therefore the
+one call the n-ary form saves per collapsed node.
 
 Both walkers work at any depth without touching the recursion limit. A
-subtree's height is at most its node count, which every node stores, so a
-subtree of at most ``_DEEP`` nodes is walked by plain recursion. A larger
-one goes to ``_deep_value``, one explicit-stack post-order loop shared by
-both walkers, which hands every subtree of ``_DEEP`` nodes or fewer back to
-the recursive walker. It keeps reading order, so values and the first fault
-are the same either way.
+subtree's height is at most its node count, so a node of more than
+``tree._DEEP`` nodes carries a deep opcode, and every other node is walked
+by plain recursion. The walkers test no size: their last branch hands a
+deep node to ``_deep_value``, one explicit-stack post-order loop shared
+by both, which hands every child without the deep opcode back to the
+recursive walker. It keeps reading order, so values and the first
+fault are the same either way.
 """
 
 import enum
@@ -38,7 +44,19 @@ from .errors import (
     UnknownFunctionIdError,
 )
 from .parser import DEFAULT_SYMBOLS, SymbolTable, interpret_string
-from .tree import UNARY_FUNCTIONS, Bindings, ExprNode, OpKind, _preorder, _raise_unbound, as_bindings, count_nodes
+from .tree import (
+    UNARY_FUNCTIONS,
+    _DEEP_OP,
+    _PRODUCT_FOLD,
+    _SUM_FOLD,
+    Bindings,
+    ExprNode,
+    OpKind,
+    _preorder,
+    _raise_unbound,
+    as_bindings,
+    count_nodes,
+)
 
 
 class EvalMethod(enum.Enum):
@@ -46,6 +64,12 @@ class EvalMethod(enum.Enum):
     BINARY_TREE = "binary"
     NARY_TREE = "nary"
     STRING_PARSE = "string"
+
+
+_BLACKBOX = EvalMethod.BLACKBOX
+_BINARY_TREE = EvalMethod.BINARY_TREE
+_NARY_TREE = EvalMethod.NARY_TREE
+_STRING_PARSE = EvalMethod.STRING_PARSE
 
 
 class EvalOutcome(NamedTuple):
@@ -122,130 +146,136 @@ _DIFFERENCE = OpKind.DIFFERENCE
 _QUOTIENT = OpKind.QUOTIENT
 _POWER = OpKind.POWER
 _NEGATE = OpKind.NEGATE
+_UNARY_FN = OpKind.UNARY_FN
 _new_outcome = tuple.__new__  # EvalOutcome from a 2-tuple, skipping its Python __new__
 
-#: Largest subtree the walkers enter by recursion: its height is at most its
-#: node count, so a walk started below the recursion limit's last few
-#: hundred frames stays inside it. At least 3, the size of ``_apply``'s node.
-_DEEP = 300
+
+def _walker(folds: bool):
+    """The recursive walker over ``tree._Node._op``; it folds the sums and
+    products that ``flatten`` merged if ``folds``, and raises
+    ``ArityMismatchError`` on them if not. Each operand that is a leaf is
+    read in place, not walked. Fixed-arity operands are indexed, so a node
+    built directly with too few children raises ``IndexError``."""
+
+    def walk(node, bindings):
+        # Branches by how often the benchmark workloads meet them: power
+        # first, each fold ahead of its two-child form, leaves (met only at
+        # the root) late, and a deep node, met only at the root, last.
+        op = node._op
+        if op is _POWER:
+            children = node.children
+            child = children[0]
+            k = child._op
+            base = (bindings[child.var_index] if k is _VARIABLE
+                    else child.value if k is _CONSTANT else walk(child, bindings))
+            child = children[1]
+            k = child._op
+            exponent = (bindings[child.var_index] if k is _VARIABLE
+                        else child.value if k is _CONSTANT else walk(child, bindings))
+            try:
+                return math.pow(base, exponent)
+            except (ValueError, OverflowError):
+                raise DomainFaultError("power", (base, exponent)) from None
+        if op is _SUM_FOLD:
+            if not folds:
+                raise ArityMismatchError(_SUM, len(node.children), "exactly 2 (binary form)")
+            ret = -0.0  # the exact additive identity: -0.0 + v is v, sign of zero included
+            for child in node.children:
+                k = child._op
+                ret += (bindings[child.var_index] if k is _VARIABLE
+                        else child.value if k is _CONSTANT else walk(child, bindings))
+            return ret
+        if op is _SUM:
+            left, right = node.children
+            k = left._op
+            a = (bindings[left.var_index] if k is _VARIABLE
+                 else left.value if k is _CONSTANT else walk(left, bindings))
+            k = right._op
+            return a + (bindings[right.var_index] if k is _VARIABLE
+                        else right.value if k is _CONSTANT else walk(right, bindings))
+        if op is _PRODUCT_FOLD:
+            if not folds:
+                raise ArityMismatchError(_PRODUCT, len(node.children), "exactly 2 (binary form)")
+            ret = 1.0
+            for child in node.children:
+                k = child._op
+                ret *= (bindings[child.var_index] if k is _VARIABLE
+                        else child.value if k is _CONSTANT else walk(child, bindings))
+            return ret
+        if op is _PRODUCT:
+            left, right = node.children
+            k = left._op
+            a = (bindings[left.var_index] if k is _VARIABLE
+                 else left.value if k is _CONSTANT else walk(left, bindings))
+            k = right._op
+            return a * (bindings[right.var_index] if k is _VARIABLE
+                        else right.value if k is _CONSTANT else walk(right, bindings))
+        if op is _UNARY_FN:
+            child = node.children[0]
+            k = child._op
+            arg = (bindings[child.var_index] if k is _VARIABLE
+                   else child.value if k is _CONSTANT else walk(child, bindings))
+            try:
+                return UNARY_FUNCTIONS[node.fn_name](arg)
+            except (ValueError, OverflowError):
+                raise DomainFaultError(node.fn_name, (arg,)) from None
+        if op is _VARIABLE:
+            return bindings[node.var_index]
+        if op is _DIFFERENCE:
+            children = node.children
+            child = children[0]
+            k = child._op
+            a = (bindings[child.var_index] if k is _VARIABLE
+                 else child.value if k is _CONSTANT else walk(child, bindings))
+            child = children[1]
+            k = child._op
+            return a - (bindings[child.var_index] if k is _VARIABLE
+                        else child.value if k is _CONSTANT else walk(child, bindings))
+        if op is _QUOTIENT:
+            children = node.children
+            child = children[0]
+            k = child._op
+            num = (bindings[child.var_index] if k is _VARIABLE
+                   else child.value if k is _CONSTANT else walk(child, bindings))
+            child = children[1]
+            k = child._op
+            den = (bindings[child.var_index] if k is _VARIABLE
+                   else child.value if k is _CONSTANT else walk(child, bindings))
+            try:
+                return num / den
+            except ZeroDivisionError:
+                raise DomainFaultError("quotient", (num, den)) from None
+        if op is _NEGATE:
+            child = node.children[0]
+            k = child._op
+            return -(bindings[child.var_index] if k is _VARIABLE
+                     else child.value if k is _CONSTANT else walk(child, bindings))
+        if op is _CONSTANT:
+            return node.value
+        if op is _DEEP_OP:
+            return _deep_value(node, bindings, walk)
+        raise TypeError(f"not a node kind: {node.kind!r}")
+
+    return walk
 
 
-def binary_value(node: ExprNode, bindings: Bindings) -> float:
-    """Evaluate a binary-form tree; every sum and product has two children.
+binary_value = _walker(folds=False)
+binary_value.__name__ = binary_value.__qualname__ = "binary_value"
+binary_value.__doc__ = """Evaluate a binary-form tree; every sum and product has two children.
     An unbound variable raises ``IndexError``."""
-    kind = node.kind
-    if kind is _CONSTANT:
-        return node.value
-    if kind is _VARIABLE:
-        return bindings[node.var_index]
-    if node._size > _DEEP:
-        return _deep_value(node, bindings, binary_value)
-    children = node.children
-    if kind is _SUM:
-        try:
-            left, right = children
-        except ValueError:
-            raise ArityMismatchError(kind, len(children), "exactly 2 (binary form)") from None
-        k = left.kind
-        a = (bindings[left.var_index] if k is _VARIABLE
-             else left.value if k is _CONSTANT else binary_value(left, bindings))
-        k = right.kind
-        b = (bindings[right.var_index] if k is _VARIABLE
-             else right.value if k is _CONSTANT else binary_value(right, bindings))
-        return a + b
-    if kind is _PRODUCT:
-        try:
-            left, right = children
-        except ValueError:
-            raise ArityMismatchError(kind, len(children), "exactly 2 (binary form)") from None
-        k = left.kind
-        a = (bindings[left.var_index] if k is _VARIABLE
-             else left.value if k is _CONSTANT else binary_value(left, bindings))
-        k = right.kind
-        b = (bindings[right.var_index] if k is _VARIABLE
-             else right.value if k is _CONSTANT else binary_value(right, bindings))
-        return a * b
-    if kind is _DIFFERENCE:
-        return binary_value(children[0], bindings) - binary_value(children[1], bindings)
-    if kind is _QUOTIENT:
-        num = binary_value(children[0], bindings)
-        den = binary_value(children[1], bindings)
-        try:
-            return num / den
-        except ZeroDivisionError:
-            raise DomainFaultError("quotient", (num, den)) from None
-    if kind is _POWER:
-        base = binary_value(children[0], bindings)
-        exponent = binary_value(children[1], bindings)
-        try:
-            return math.pow(base, exponent)
-        except (ValueError, OverflowError):
-            raise DomainFaultError("power", (base, exponent)) from None
-    if kind is _NEGATE:
-        return -binary_value(children[0], bindings)
-    arg = binary_value(children[0], bindings)
-    try:
-        return UNARY_FUNCTIONS[node.fn_name](arg)
-    except (ValueError, OverflowError):
-        raise DomainFaultError(node.fn_name, (arg,)) from None
 
-
-def nary_value(node: ExprNode, bindings: Bindings) -> float:
-    """Evaluate any valid tree, folding sums and products over all children;
+nary_value = _walker(folds=True)
+nary_value.__name__ = nary_value.__qualname__ = "nary_value"
+nary_value.__doc__ = """Evaluate any valid tree, folding sums and products over all children;
     an unbound variable raises ``IndexError``."""
-    kind = node.kind
-    if kind is _CONSTANT:
-        return node.value
-    if kind is _VARIABLE:
-        return bindings[node.var_index]
-    if node._size > _DEEP:
-        return _deep_value(node, bindings, nary_value)
-    children = node.children
-    if kind is _SUM:
-        ret = -0.0  # the exact additive identity: -0.0 + v is v, sign of zero included
-        for child in children:
-            k = child.kind
-            ret += (bindings[child.var_index] if k is _VARIABLE
-                    else child.value if k is _CONSTANT else nary_value(child, bindings))
-        return ret
-    if kind is _PRODUCT:
-        ret = 1.0
-        for child in children:
-            k = child.kind
-            ret *= (bindings[child.var_index] if k is _VARIABLE
-                    else child.value if k is _CONSTANT else nary_value(child, bindings))
-        return ret
-    if kind is _DIFFERENCE:
-        return nary_value(children[0], bindings) - nary_value(children[1], bindings)
-    if kind is _QUOTIENT:
-        num = nary_value(children[0], bindings)
-        den = nary_value(children[1], bindings)
-        try:
-            return num / den
-        except ZeroDivisionError:
-            raise DomainFaultError("quotient", (num, den)) from None
-    if kind is _POWER:
-        base = nary_value(children[0], bindings)
-        exponent = nary_value(children[1], bindings)
-        try:
-            return math.pow(base, exponent)
-        except (ValueError, OverflowError):
-            raise DomainFaultError("power", (base, exponent)) from None
-    if kind is _NEGATE:
-        return -nary_value(children[0], bindings)
-    arg = nary_value(children[0], bindings)
-    try:
-        return UNARY_FUNCTIONS[node.fn_name](arg)
-    except (ValueError, OverflowError):
-        raise DomainFaultError(node.fn_name, (arg,)) from None
 
 
 def _deep_value(node: ExprNode, bindings: Bindings, walker) -> float:
-    """``walker``'s value of ``node``, a tree of more than ``_DEEP`` nodes: a
-    post-order loop, on an explicit stack, over its subtrees of more than
-    ``_DEEP`` nodes, that hands every smaller child to ``walker``. Sums and
-    products fold in place from -0.0 and 1.0 (under ``binary_value`` they
-    must have two children); ``_apply`` finishes the other kinds."""
+    """``walker``'s value of ``node``, a node marked ``_DEEP_OP``: a
+    post-order loop, on an explicit stack, over its subtrees so marked, that
+    hands every other child to ``walker``. Sums and products fold in place
+    from -0.0 and 1.0 (under ``binary_value`` they must have two children);
+    ``_apply`` finishes the other kinds."""
     binary = walker is binary_value
     # Each unfinished ancestor's node, next child index and fold, laid flat:
     # a frame object per level would keep thousands of new objects alive for
@@ -253,7 +283,8 @@ def _deep_value(node: ExprNode, bindings: Bindings, walker) -> float:
     stack = []
     child, node, kind, children, n, i, acc = node, None, None, (), 0, 0, None  # node None: the caller's frame
     while True:
-        if child._size > _DEEP:
+        k = child._op
+        if k is _DEEP_OP:
             stack += node, i, acc
             node, kind, children, i = child, child.kind, child.children, 0
             n = len(children)
@@ -264,7 +295,6 @@ def _deep_value(node: ExprNode, bindings: Bindings, walker) -> float:
             else:
                 acc = ()  # the operands, in order
         else:
-            k = child.kind
             value = (bindings[child.var_index] if k is _VARIABLE
                      else child.value if k is _CONSTANT else walker(child, bindings))
             while True:  # fold value into node, finishing every node it completes
@@ -338,21 +368,21 @@ def evaluate(
     (``symbols`` applies only there; defaults to the x,y table).
     """
     b = as_bindings(bindings)
-    if method is EvalMethod.BLACKBOX:
+    if method is _BLACKBOX:
         if not isinstance(source, int) or isinstance(source, bool):
             raise MethodSourceMismatchError(f"BLACKBOX needs an int id, got {type(source).__name__}")
         fn = blackbox_lookup(source)
         _raise_unbound((0, 1), len(b))
         return _new_outcome(EvalOutcome, (fn(b[0], b[1]), 0))
-    if method is EvalMethod.BINARY_TREE:
+    if method is _BINARY_TREE:
         if not isinstance(source, ExprNode):
             raise MethodSourceMismatchError(f"BINARY_TREE needs an ExprNode, got {type(source).__name__}")
         return _outcome(binary_value, source, b, nan_on_fault)
-    if method is EvalMethod.NARY_TREE:
+    if method is _NARY_TREE:
         if not isinstance(source, ExprNode):
             raise MethodSourceMismatchError(f"NARY_TREE needs an ExprNode, got {type(source).__name__}")
         return _outcome(nary_value, source, b, nan_on_fault)
-    if method is EvalMethod.STRING_PARSE:
+    if method is _STRING_PARSE:
         if not isinstance(source, str):
             raise MethodSourceMismatchError(f"STRING_PARSE needs a string, got {type(source).__name__}")
         return _new_outcome(EvalOutcome, interpret_string(source, symbols or DEFAULT_SYMBOLS, b, nan_on_fault))

@@ -220,6 +220,9 @@ def tokenize(text: str) -> list[Token]:
 # only entry of precedence 3 and the only one-operand reduction.
 
 _IDENT, _NUMBER, _MINUS, _LPAREN = TokenTag.IDENT, TokenTag.NUMBER, TokenTag.MINUS, TokenTag.LPAREN
+# The kinds the tree actions name per node, bound once: an enum member
+# lookup costs a Python-level attribute access each time.
+_CONSTANT, _VARIABLE, _NEGATE, _UNARY_FN = OpKind.CONSTANT, OpKind.VARIABLE, OpKind.NEGATE, OpKind.UNARY_FN
 _TOP = (-1, None)
 _PAREN = (0, None)
 _NEGATE_PRECEDENCE = 3
@@ -257,7 +260,7 @@ def _tree_binary(kind: OpKind):
 
 
 def _tree_call(name: str):
-    return lambda arg: _Node(OpKind.UNARY_FN, None, None, name, (arg,), arg._size + 1)
+    return lambda arg: _Node(_UNARY_FN, None, None, name, (arg,), arg._size + 1)
 
 
 # lexeme -> (reduction threshold, precedence, tree kind, value action). "^"
@@ -281,8 +284,8 @@ class _Actions(NamedTuple):
 
 
 _TREE_ACTIONS = _Actions(
-    lambda value: _Node(OpKind.CONSTANT, value, None, None, (), 1),
-    (_NEGATE_PRECEDENCE, lambda arg: _Node(OpKind.NEGATE, None, None, None, (arg,), arg._size + 1)),
+    lambda value: _Node(_CONSTANT, value, None, None, (), 1),
+    (_NEGATE_PRECEDENCE, lambda arg: _Node(_NEGATE, None, None, None, (arg,), arg._size + 1)),
     {lexeme: (threshold, (prec, _tree_binary(kind)))
      for lexeme, (threshold, prec, kind, _) in _BINARY.items()},
     {name: (0, _tree_call(name)) for name in UNARY_FUNCTIONS},
@@ -300,7 +303,7 @@ class _Leaves(dict):
     """Variable index -> this parse's leaf, made on first use."""
 
     def __missing__(self, index: int) -> ExprNode:
-        leaf = self[index] = _Node(OpKind.VARIABLE, None, index, None, (), 1)
+        leaf = self[index] = _Node(_VARIABLE, None, index, None, (), 1)
         return leaf
 
 

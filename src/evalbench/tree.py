@@ -18,6 +18,10 @@ only regroups the children of a tree it assumes valid) and ``_rebuild``
 (which restores a pickled or copied tree). Public callers use
 ``make_*``; a node built directly with ``ExprNode(...)`` is not checked.
 
+Every construction route ends in ``_Node``, which also sets the private
+opcode ``_op`` that the evaluators' walkers dispatch on. It is derived from
+the other fields, so equality, hashing, ``repr`` and pickling ignore it.
+
 ``Bindings`` is a tuple of finite floats. The walkers index it directly,
 so a variable with no value raises ``IndexError`` there; the public
 evaluation entry points turn that into ``UnboundVariableError``.
@@ -77,11 +81,34 @@ _ARITY = {
 }
 
 
+_SUM = OpKind.SUM
+_PRODUCT = OpKind.PRODUCT
+
+#: Largest subtree the walkers enter by recursion: its height is at most its
+#: node count, so a walk started below the recursion limit's last few
+#: hundred frames stays inside it. At least 3, the size of the node that
+#: ``evaluators._apply`` builds. Read when a node is built, not when it is
+#: walked.
+_DEEP = 300
+
+# The ``_op`` markers that stand in for a node's kind: a node of more than
+# ``_DEEP`` nodes, and a sum or product with other than two children.
+_DEEP_OP = "deep"
+_SUM_FOLD = "sum-fold"
+_PRODUCT_FOLD = "product-fold"
+
+
 class _Node:
     """Mutable twin of ``ExprNode``: ``_Node(...)`` fills the slots unchecked,
-    then re-classes the node as a frozen ``ExprNode`` before returning it."""
+    sets the opcode ``_op``, then re-classes the node as a frozen
+    ``ExprNode`` before returning it.
 
-    __slots__ = ("kind", "value", "var_index", "fn_name", "children", "_size")
+    ``_op`` is the node's kind, except that a node of more than ``_DEEP``
+    nodes gets ``_DEEP_OP``, and otherwise a sum or product with other than
+    exactly two children gets ``_SUM_FOLD`` or ``_PRODUCT_FOLD``. So the
+    walkers test no size, and fold only where ``flatten`` merged."""
+
+    __slots__ = ("kind", "value", "var_index", "fn_name", "children", "_size", "_op")
 
     def __init__(self, kind, value, var_index, fn_name, children, size):
         self.kind = kind
@@ -90,6 +117,12 @@ class _Node:
         self.fn_name = fn_name
         self.children = children
         self._size = size
+        if size > _DEEP:
+            self._op = _DEEP_OP
+        elif (kind is _SUM or kind is _PRODUCT) and len(children) != 2:
+            self._op = _SUM_FOLD if kind is _SUM else _PRODUCT_FOLD
+        else:
+            self._op = kind
         self.__class__ = ExprNode
 
 
@@ -119,7 +152,7 @@ class ExprNode(_Node):
     def __eq__(self, other):
         if not isinstance(other, ExprNode):
             return NotImplemented
-        return _shapes(self) == _shapes(other)
+        return self._size == other._size and _shapes(self) == _shapes(other)
 
     def __hash__(self):
         return hash(_shapes(self))

@@ -1,4 +1,5 @@
 import math
+import pickle
 import struct
 
 import pytest
@@ -31,6 +32,7 @@ from evalbench import (
 )
 from evalbench.benchmark import EXPRESSIONS
 import evalbench.evaluators as evaluators_module
+import evalbench.tree as tree_module
 from evalbench.evaluators import binary_value, nary_value
 from strategies import bindings, handbuilt_binary_tree, handbuilt_nary_tree, has_like_chain, trees
 
@@ -129,9 +131,43 @@ def test_unbound_variable_index_at_every_entry_point(entry, values):
 
 
 def test_malformed_tree_index_error_is_not_relabelled():
+    # fixed-arity operands are indexed, not unpacked: too few children is an
+    # IndexError, never a ValueError or an unbound variable
+    x = make_variable(0)
+    malformed = [ExprNode(OpKind.NEGATE), ExprNode(OpKind.UNARY_FN, fn_name="sin"), ExprNode(OpKind.POWER)]
+    malformed += [ExprNode(kind, children=(x,)) for kind in (OpKind.DIFFERENCE, OpKind.QUOTIENT, OpKind.POWER)]
     for ev in (eval_binary, eval_nary):
         with pytest.raises(IndexError):
             ev(ExprNode(OpKind.NEGATE), Bindings())
+        for node in malformed:
+            with pytest.raises(IndexError):
+                ev(node, Bindings((0.5,)))
+        with pytest.raises(TypeError):  # not a RecursionError
+            ev(ExprNode("bogus"), Bindings())
+
+
+@pytest.mark.parametrize("kind, identity", [(OpKind.SUM, -0.0), (OpKind.PRODUCT, 1.0)])
+def test_short_sums_and_products_fold_under_nary_only(kind, identity):
+    b = Bindings((0.5,))
+    for children in ((), (make_variable(0),)):
+        node = ExprNode(kind, children=children)
+        assert float.hex(nary_value(node, b)) == float.hex(0.5 if children else identity)
+        with pytest.raises(ArityMismatchError) as info:
+            binary_value(node, b)
+        assert info.value.kind is kind and info.value.got == len(children)
+
+
+def test_binary_walk_rejects_a_three_child_sum_at_any_size():
+    x, y = make_variable(0), make_variable(1)
+    b = Bindings((0.5, 0.25))
+    deep = parse_to_tree("-".join(["x"] * 200))  # 399 nodes: walked by the explicit-stack loop
+    for first, op in ((x, tree_module._SUM_FOLD), (deep, tree_module._DEEP_OP)):
+        tree = make_op(OpKind.SUM, (first, y, x))
+        assert tree._op is op
+        with pytest.raises(ArityMismatchError) as info:
+            binary_value(tree, b)
+        assert info.value.kind is OpKind.SUM and info.value.got == 3
+        assert nary_value(tree, b) == nary_value(first, b) + 0.25 + 0.5
 
 
 @pytest.mark.parametrize(
@@ -228,11 +264,18 @@ def _walk_result(walker, tree, b):
 def test_explicit_stack_walk_matches_recursion(tree, b):
     walks = ((binary_value, tree), (nary_value, tree), (nary_value, flatten(tree)))
     want = [_walk_result(walker, t, b) for walker, t in walks]
+    driven = []
+    deep_value = evaluators_module._deep_value
     with pytest.MonkeyPatch.context() as patch:
-        # the smallest valid value: every node of more than three nodes is
-        # then walked by the explicit-stack driver
-        patch.setattr(evaluators_module, "_DEEP", 3)
+        # Construction marks a node deep, so the trees are rebuilt under the
+        # smallest valid bound: every node of more than three nodes is then
+        # walked by the explicit-stack loop.
+        patch.setattr(tree_module, "_DEEP", 3)
+        rebuilt = pickle.loads(pickle.dumps(tree))
+        walks = ((binary_value, rebuilt), (nary_value, rebuilt), (nary_value, flatten(rebuilt)))
+        patch.setattr(evaluators_module, "_deep_value", lambda *args: driven.append(1) or deep_value(*args))
         assert [_walk_result(walker, t, b) for walker, t in walks] == want
+    assert bool(driven) == (count_nodes(tree) > 3)
 
 
 @given(tree=trees(), binary_tree=trees(binary_only=True), b=bindings)

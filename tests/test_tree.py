@@ -27,7 +27,8 @@ from evalbench import (
     make_variable,
     parse_to_tree,
 )
-from evalbench.tree import _preorder
+import evalbench.tree as tree_module
+from evalbench.tree import _DEEP_OP, _PRODUCT_FOLD, _SUM_FOLD, _preorder
 from strategies import handbuilt_binary_tree, handbuilt_nary_tree, random_tree, to_source, trees
 
 _XYZ = SymbolTable(("x", "y", "z"))
@@ -130,7 +131,7 @@ def test_nodes_are_immutable():
         node.value = 2.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         node.children = ()
-    for field in ("kind", "value", "var_index", "fn_name", "children", "_size"):
+    for field in ("kind", "value", "var_index", "fn_name", "children", "_size", "_op"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(node, field, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -180,6 +181,51 @@ def test_equality_hash_and_repr_at_any_depth(text_of):
     assert sys.getrecursionlimit() == limit
 
 
+def _expected_op(node, deep):
+    n = len(node.children)
+    if node._size > deep:
+        return _DEEP_OP
+    if node.kind is OpKind.SUM and n != 2:
+        return _SUM_FOLD
+    if node.kind is OpKind.PRODUCT and n != 2:
+        return _PRODUCT_FOLD
+    return node.kind
+
+
+def _remake(tree, node_of):
+    """``tree`` built again bottom-up, each node by ``node_of(node, children)``."""
+    return node_of(tree, tuple(_remake(child, node_of) for child in tree.children))
+
+
+def _pickled(tree):
+    return pickle.loads(pickle.dumps(tree))
+
+
+def _through_make(node, children):
+    if node.kind is OpKind.CONSTANT:
+        return make_constant(node.value)
+    if node.kind is OpKind.VARIABLE:
+        return make_variable(node.var_index)
+    return make_op(node.kind, children, node.fn_name)
+
+
+@given(tree=trees(), deep=st.sampled_from([3, 300]))
+def test_opcode_follows_kind_children_and_size_on_every_route(tree, deep):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree_module, "_DEEP", deep)
+        built = [
+            parse_to_tree(to_source(tree), _XYZ),
+            _remake(tree, _through_make),
+            _remake(tree, lambda node, kids: ExprNode(node.kind, node.value, node.var_index, node.fn_name, kids)),
+        ]
+        built += [flatten(t) for t in built]
+        built += [copied(t) for t in built for copied in (_pickled, copy.copy, copy.deepcopy)]
+    for t in built:
+        for node, _ in _preorder(t):
+            assert node._size == 1 + sum(child._size for child in node.children)
+            assert node._op is _expected_op(node, deep)
+
+
 def test_nodes_pickle_and_copy():
     parsed = parse_to_tree("sin(x)*2.5 + y^-x - x*y*x/3")
     built = make_op(OpKind.SUM, (make_variable(0), make_constant(-0.0), make_op(OpKind.NEGATE, (make_variable(1),))))
@@ -188,6 +234,17 @@ def test_nodes_pickle_and_copy():
             assert type(copied) is ExprNode and _every_node_is_frozen(copied)
             assert copied == tree and hash(copied) == hash(tree)
             assert count_nodes(copied) == count_nodes(tree) and repr(copied) == repr(tree)
+
+
+def test_trees_of_different_sizes_compare_unequal_without_a_walk():
+    def no_walk(tree):
+        raise AssertionError("_shapes called")
+
+    a = parse_to_tree("+".join(["x"] * 10**4))
+    b = parse_to_tree("+".join(["x"] * (10**4 - 1)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree_module, "_shapes", no_walk)
+        assert a != b and not a == b
 
 
 def test_equality_and_hash_follow_the_fields():
