@@ -7,9 +7,10 @@ floating-point addition is not associative, so reordering could change
 results. Difference, quotient and power are never collapsed; no algebraic
 rewriting (a-b into a + (-1*b), etc.) is performed.
 
-The pass is iterative and linear, so it works at any depth. It gathers the
-operands of each maximal same-kind chain once, then builds the result
-children first. A subtree with nothing to merge is not copied: the result
+It works at any depth by the walkers' pattern (see ``evaluators``): a
+subtree not marked ``tree._DEEP_OP`` has at most ``tree._DEEP`` nodes and is
+flattened by recursion, and only the marked nodes are expanded on an
+explicit stack. A subtree with nothing to merge is not copied: the result
 shares it with the input, so flattening a flat tree returns the tree itself.
 
 New nodes are built with the unchecked ``tree._Node``: regrouping the
@@ -19,12 +20,13 @@ constructors or by the parser is, while one built directly with
 ``ExprNode(...)`` is not checked, and its faults show only in evaluation.
 """
 
-from operator import is_
+from operator import attrgetter, is_
 
-from .tree import ExprNode, OpKind, _Node, count_nodes
+from .tree import _DEEP_OP, ExprNode, OpKind, _Node, count_nodes
 
 _SUM = OpKind.SUM
 _PRODUCT = OpKind.PRODUCT
+_size = attrgetter("_size")
 
 
 def flatten(tree: ExprNode) -> ExprNode:
@@ -33,18 +35,66 @@ def flatten(tree: ExprNode) -> ExprNode:
     nothing to merge; ``flatten(flatten(t)) is flatten(t)``. Total on valid
     trees at any depth. ``tree`` is assumed valid: a directly built
     ``ExprNode`` is not checked."""
+    return _flatten_deep(tree) if tree._op is _DEEP_OP else _flat(tree)
+
+
+def _flat(node: ExprNode) -> ExprNode:
+    """``flatten(node)`` by recursion, at most ``_DEEP`` deep, for a node not
+    marked ``_DEEP_OP``. Leaves are read in place, not entered."""
+    kind = node.kind
+    children = node.children
+    if kind is _SUM or kind is _PRODUCT:
+        kids = []
+        if not _operands(children, kind, kids):
+            return node
+    else:
+        kids = None
+        for i, child in enumerate(children):
+            if child.children:
+                new = _flat(child)
+                if new is not child:
+                    if kids is None:
+                        kids = list(children)
+                    kids[i] = new
+        if kids is None:
+            return node
+    return _Node(kind, None, None, node.fn_name, tuple(kids), sum(map(_size, kids), 1))
+
+
+def _operands(children: tuple, kind: OpKind, out: list) -> bool:
+    """Append to ``out`` the flattened operands of the ``kind`` chain over
+    ``children``, left to right; True unless they are ``children`` itself."""
+    merged = False
+    for child in children:
+        if child.kind is kind:
+            _operands(child.children, kind, out)
+            merged = True
+        elif child.children:
+            new = _flat(child)
+            out.append(new)
+            merged = merged or new is not child
+        else:
+            out.append(child)
+    return merged
+
+
+def _flatten_deep(tree: ExprNode) -> ExprNode:
+    """``flatten(tree)`` on an explicit stack, for a tree marked ``_DEEP_OP``:
+    only marked nodes are expanded, and pass 2 hands the others to ``_flat``."""
     # Pass 1, mirror preorder (each node, then its operands right to left):
-    # a sum or product stands for its whole chain of like nodes, whose
-    # operands are gathered once and counted in ``counts``.
+    # a marked sum or product stands for its whole chain of like nodes,
+    # whose operands are gathered once and counted in ``counts``.
     order: list[ExprNode] = []
     counts: list[int] = []
     stack = [tree]
     while stack:
         node = stack.pop()
         order.append(node)
+        if node._op is not _DEEP_OP:
+            continue
         kind = node.kind
+        start = len(stack)
         if kind is _SUM or kind is _PRODUCT:
-            start = len(stack)
             pending = list(node.children)
             pending.reverse()
             while pending:
@@ -53,28 +103,24 @@ def flatten(tree: ExprNode) -> ExprNode:
                     pending.extend(reversed(child.children))
                 else:
                     stack.append(child)
-            counts.append(len(stack) - start)
         else:
             stack.extend(node.children)
+        counts.append(len(stack) - start)
     # Pass 2, the reverse: post-order, so each node's results lie on top of
     # ``built``, left to right.
     built: list[ExprNode] = []
     for node in reversed(order):
-        children = node.children
-        if not children:
-            built.append(node)
+        if node._op is not _DEEP_OP:
+            built.append(_flat(node) if node.children else node)
             continue
-        kind = node.kind
-        n = counts.pop() if kind is _SUM or kind is _PRODUCT else len(children)
+        children = node.children
+        n = counts.pop()
         kids = built[-n:]
         del built[-n:]
         if n == len(children) and all(map(is_, kids, children)):
             built.append(node)
             continue
-        size = 1
-        for kid in kids:
-            size += kid._size
-        built.append(_Node(kind, None, None, node.fn_name, tuple(kids), size))
+        built.append(_Node(node.kind, None, None, node.fn_name, tuple(kids), sum(map(_size, kids), 1)))
     return built[0]
 
 

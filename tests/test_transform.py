@@ -1,5 +1,8 @@
 import math
+import pickle
+import sys
 
+import pytest
 from hypothesis import assume, given
 
 from evalbench import (
@@ -15,6 +18,8 @@ from evalbench import (
     parse_to_tree,
 )
 from evalbench.benchmark import EXPRESSIONS
+import evalbench.transform as transform_module
+import evalbench.tree as tree_module
 from strategies import (
     bindings,
     handbuilt_binary_tree,
@@ -169,3 +174,84 @@ def test_flatten_monotone_shrinkage(tree):
 @given(tree=trees(binary_only=True))
 def test_flatten_never_grows_binary_trees(tree):
     assert count_nodes(flatten(tree)) <= count_nodes(tree)
+
+
+def _nodes(tree):
+    return [node for node, _ in tree_module._preorder(tree)]
+
+
+def _sharing(result, tree):
+    """Per node of ``result`` in preorder, its preorder position in ``tree``
+    if it is a node of ``tree`` itself, else None."""
+    position = {id(node): i for i, node in enumerate(_nodes(tree))}
+    return [position.get(id(node)) for node in _nodes(result)]
+
+
+@given(tree=trees())
+def test_explicit_stack_flatten_matches_recursion(tree):
+    want = flatten(tree)
+    driven = []
+    flatten_deep = transform_module._flatten_deep
+    with pytest.MonkeyPatch.context() as patch:
+        # Construction marks a node deep, so the tree is rebuilt under the
+        # smallest valid bound: every node of more than three nodes is then
+        # expanded by the explicit-stack loop.
+        patch.setattr(tree_module, "_DEEP", 3)
+        rebuilt = pickle.loads(pickle.dumps(tree))
+        patch.setattr(transform_module, "_flatten_deep", lambda t: driven.append(t) or flatten_deep(t))
+        got = flatten(rebuilt)
+        assert flatten(got) is got
+        ops = [node._op for node in _nodes(pickle.loads(pickle.dumps(want)))]
+    assert got == want
+    assert [node._op for node in _nodes(got)] == ops
+    assert _sharing(got, rebuilt) == _sharing(want, tree)
+    assert bool(driven) == (count_nodes(tree) > 3)
+
+
+def _chain_leaves(node, kind, operands):
+    """Assert ``node`` is a ``kind`` node over exactly the leaf objects
+    ``operands``."""
+    assert node.kind is kind
+    assert len(node.children) == len(operands)
+    assert all(child is leaf for child, leaf in zip(node.children, operands))
+
+
+_DEPTH = 10**4
+
+
+def _check_nested_sin(tree, flat):
+    for _ in range(_DEPTH):
+        assert flat.fn_name == tree.fn_name == "sin" and flat is not tree
+        tree, flat = tree.children[0], flat.children[0]
+    _chain_leaves(flat, OpKind.SUM, tree.children[0].children + (tree.children[1],))  # (x+y)+x
+
+
+def _check_difference_chain(tree, flat):
+    for _ in range(_DEPTH - 1):
+        assert flat.kind is tree.kind is OpKind.DIFFERENCE and flat is not tree
+        operand = tree.children[1]
+        _chain_leaves(flat.children[1], OpKind.SUM, operand.children[0].children + (operand.children[1],))
+        tree, flat = tree.children[0], flat.children[0]
+    _chain_leaves(flat, OpKind.SUM, tree.children[0].children + (tree.children[1],))
+
+
+def _check_sum_of_products(tree, flat):
+    assert flat.kind is OpKind.SUM and len(flat.children) == _DEPTH
+    for i in reversed(range(_DEPTH)):
+        term = tree.children[1] if i else tree
+        _chain_leaves(flat.children[i], OpKind.PRODUCT, term.children[0].children + (term.children[1],))
+        tree = tree.children[0]
+
+
+@pytest.mark.parametrize("text, check", [
+    pytest.param("sin(" * _DEPTH + "x+y+x" + ")" * _DEPTH, _check_nested_sin, id="nested-sin"),
+    pytest.param("-".join(["(x+y+x)"] * _DEPTH), _check_difference_chain, id="difference-chain"),
+    pytest.param("+".join(["x*y*x"] * _DEPTH), _check_sum_of_products, id="sum-of-products"),
+])
+def test_flatten_deep_tree_merges_below_the_deep_part(text, check):
+    limit = sys.getrecursionlimit()
+    tree = parse_to_tree(text)
+    flat = flatten(tree)
+    check(tree, flat)
+    assert flatten(flat) is flat
+    assert sys.getrecursionlimit() == limit
