@@ -12,9 +12,11 @@ once in the working tree, each with its own copy of perfbench, for
 BENCHMARK.json's ``run_seconds``; the side that runs first alternates
 from pair to pair. For every end-to-end metric in BENCHMARK.json the
 script prints each side's median and quartiles, the change's wins (ties
-count for neither side), and whether a gain could be claimed: wins in at
+count for neither side), whether a gain could be claimed (wins in at
 least 9/10 of the pairs and medians further apart than the base's
-interquartile spread. Run it from anywhere in the repo.
+interquartile spread), and whether the change regressed: its median worse
+than the base's by more than the metric's ``bound``, a fraction of the
+base's median. Run it from anywhere in the repo.
 """
 
 import argparse
@@ -46,8 +48,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def report(metrics: list[dict], base_runs: list[dict], change_runs: list[dict]) -> None:
     pairs = len(base_runs)
+    regressions = []
     print(f"{'metric':34} {'base median [q1, q3]':>34} {'change median [q1, q3]':>34}"
-          f" {'delta':>7} {'wins':>6}  claim")
+          f" {'delta':>7} {'wins':>6}  claim  regressed")
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
         base = [r[name] for r in base_runs]
@@ -57,9 +60,15 @@ def report(metrics: list[dict], base_runs: list[dict], change_runs: list[dict]) 
         c1, cm, c3 = quartiles(change)
         better = cm - bm if higher else bm - cm
         claim = wins * 10 >= pairs * 9 and better > b3 - b1
+        regressed = -better > m["bound"] * abs(bm)
+        if regressed:
+            regressions.append(name)
         delta = f"{(cm - bm) / bm:+.1%}" if bm else "n/a"
         print(f"{name:34} {bm:>12.5g} [{b1:.5g}, {b3:.5g}] {cm:>12.5g} [{c1:.5g}, {c3:.5g}]"
-              f" {delta:>7} {wins:>3}/{pairs}  {'yes' if claim else 'no'}")
+              f" {delta:>7} {wins:>3}/{pairs}  {'yes' if claim else 'no':5}  "
+              f"{'YES' if regressed else 'no'} (bound {m['bound']:.0%})")
+    print(f"regressed past bound: {', '.join(regressions)}" if regressions
+          else "no metric regressed past its bound")
 
 
 def main() -> int:

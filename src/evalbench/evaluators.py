@@ -15,8 +15,8 @@ inside the walker would only add per-node cost to the path being timed.
 The two walkers are one function body, built twice by ``_walker``. They
 dispatch on each node's private opcode ``_op``, set once when the node is
 built (see ``tree._Node``), in one branch order. Every operand that is a
-leaf, under any operator, is read in place (``bindings[var_index]`` or
-``.value``) rather than walked, so a walker is entered only at interior
+leaf, under any operator, is read in place (``bindings[node._arg]`` or
+``node._arg``) rather than walked, so a walker is entered only at interior
 nodes and at the root. A sum or product with exactly two children runs the
 same unpack code in both walkers; only the nodes ``flatten`` merged carry a
 fold opcode, which the n-ary walker folds and the binary walker rejects
@@ -43,7 +43,7 @@ from .errors import (
     MethodSourceMismatchError,
     UnknownFunctionIdError,
 )
-from .parser import DEFAULT_SYMBOLS, SymbolTable, interpret_string
+from .parser import DEFAULT_SYMBOLS, SymbolTable, _power, _value_call, interpret_string
 from .tree import (
     UNARY_FUNCTIONS,
     _DEEP_OP,
@@ -89,7 +89,11 @@ class EvalOutcome(NamedTuple):
 
 # --- black-box functions ---------------------------------------------------
 # Eight fixed routines of (x, y), expected on the unit square. Callers pick
-# one by id but have no run-time control over its body.
+# one by id but have no run-time control over its body. Powers and sines go
+# through the string evaluator's checked operators, so outside the square
+# a routine raises the same ``DomainFaultError`` as the other methods.
+
+_sin = _value_call("sin")
 
 def _f1(x, y):
     return x
@@ -100,11 +104,11 @@ def _f2(x, y):
 
 
 def _f3(x, y):
-    return x ** y
+    return _power(x, y)
 
 
 def _f4(x, y):
-    return (x + y) * x ** y
+    return (x + y) * _power(x, y)
 
 
 def _f5(x, y):
@@ -112,7 +116,7 @@ def _f5(x, y):
 
 
 def _f6(x, y):
-    return math.sin((x + y) * x ** y)
+    return _sin((x + y) * _power(x, y))
 
 
 def _f7(x, y):
@@ -166,12 +170,12 @@ def _walker(folds: bool):
             children = node.children
             child = children[0]
             k = child._op
-            base = (bindings[child.var_index] if k is _VARIABLE
-                    else child.value if k is _CONSTANT else walk(child, bindings))
+            base = (bindings[child._arg] if k is _VARIABLE
+                    else child._arg if k is _CONSTANT else walk(child, bindings))
             child = children[1]
             k = child._op
-            exponent = (bindings[child.var_index] if k is _VARIABLE
-                        else child.value if k is _CONSTANT else walk(child, bindings))
+            exponent = (bindings[child._arg] if k is _VARIABLE
+                        else child._arg if k is _CONSTANT else walk(child, bindings))
             try:
                 return math.pow(base, exponent)
             except (ValueError, OverflowError):
@@ -182,65 +186,65 @@ def _walker(folds: bool):
             ret = -0.0  # the exact additive identity: -0.0 + v is v, sign of zero included
             for child in node.children:
                 k = child._op
-                ret += (bindings[child.var_index] if k is _VARIABLE
-                        else child.value if k is _CONSTANT else walk(child, bindings))
+                ret += (bindings[child._arg] if k is _VARIABLE
+                        else child._arg if k is _CONSTANT else walk(child, bindings))
             return ret
         if op is _SUM:
             left, right = node.children
             k = left._op
-            a = (bindings[left.var_index] if k is _VARIABLE
-                 else left.value if k is _CONSTANT else walk(left, bindings))
+            a = (bindings[left._arg] if k is _VARIABLE
+                 else left._arg if k is _CONSTANT else walk(left, bindings))
             k = right._op
-            return a + (bindings[right.var_index] if k is _VARIABLE
-                        else right.value if k is _CONSTANT else walk(right, bindings))
+            return a + (bindings[right._arg] if k is _VARIABLE
+                        else right._arg if k is _CONSTANT else walk(right, bindings))
         if op is _PRODUCT_FOLD:
             if not folds:
                 raise ArityMismatchError(_PRODUCT, len(node.children), "exactly 2 (binary form)")
             ret = 1.0
             for child in node.children:
                 k = child._op
-                ret *= (bindings[child.var_index] if k is _VARIABLE
-                        else child.value if k is _CONSTANT else walk(child, bindings))
+                ret *= (bindings[child._arg] if k is _VARIABLE
+                        else child._arg if k is _CONSTANT else walk(child, bindings))
             return ret
         if op is _PRODUCT:
             left, right = node.children
             k = left._op
-            a = (bindings[left.var_index] if k is _VARIABLE
-                 else left.value if k is _CONSTANT else walk(left, bindings))
+            a = (bindings[left._arg] if k is _VARIABLE
+                 else left._arg if k is _CONSTANT else walk(left, bindings))
             k = right._op
-            return a * (bindings[right.var_index] if k is _VARIABLE
-                        else right.value if k is _CONSTANT else walk(right, bindings))
+            return a * (bindings[right._arg] if k is _VARIABLE
+                        else right._arg if k is _CONSTANT else walk(right, bindings))
         if op is _UNARY_FN:
             child = node.children[0]
             k = child._op
-            arg = (bindings[child.var_index] if k is _VARIABLE
-                   else child.value if k is _CONSTANT else walk(child, bindings))
+            arg = (bindings[child._arg] if k is _VARIABLE
+                   else child._arg if k is _CONSTANT else walk(child, bindings))
             try:
-                return UNARY_FUNCTIONS[node.fn_name](arg)
+                return UNARY_FUNCTIONS[node._arg](arg)
             except (ValueError, OverflowError):
-                raise DomainFaultError(node.fn_name, (arg,)) from None
+                raise DomainFaultError(node._arg, (arg,)) from None
         if op is _VARIABLE:
-            return bindings[node.var_index]
+            return bindings[node._arg]
         if op is _DIFFERENCE:
             children = node.children
             child = children[0]
             k = child._op
-            a = (bindings[child.var_index] if k is _VARIABLE
-                 else child.value if k is _CONSTANT else walk(child, bindings))
+            a = (bindings[child._arg] if k is _VARIABLE
+                 else child._arg if k is _CONSTANT else walk(child, bindings))
             child = children[1]
             k = child._op
-            return a - (bindings[child.var_index] if k is _VARIABLE
-                        else child.value if k is _CONSTANT else walk(child, bindings))
+            return a - (bindings[child._arg] if k is _VARIABLE
+                        else child._arg if k is _CONSTANT else walk(child, bindings))
         if op is _QUOTIENT:
             children = node.children
             child = children[0]
             k = child._op
-            num = (bindings[child.var_index] if k is _VARIABLE
-                   else child.value if k is _CONSTANT else walk(child, bindings))
+            num = (bindings[child._arg] if k is _VARIABLE
+                   else child._arg if k is _CONSTANT else walk(child, bindings))
             child = children[1]
             k = child._op
-            den = (bindings[child.var_index] if k is _VARIABLE
-                   else child.value if k is _CONSTANT else walk(child, bindings))
+            den = (bindings[child._arg] if k is _VARIABLE
+                   else child._arg if k is _CONSTANT else walk(child, bindings))
             try:
                 return num / den
             except ZeroDivisionError:
@@ -248,10 +252,10 @@ def _walker(folds: bool):
         if op is _NEGATE:
             child = node.children[0]
             k = child._op
-            return -(bindings[child.var_index] if k is _VARIABLE
-                     else child.value if k is _CONSTANT else walk(child, bindings))
+            return -(bindings[child._arg] if k is _VARIABLE
+                     else child._arg if k is _CONSTANT else walk(child, bindings))
         if op is _CONSTANT:
-            return node.value
+            return node._arg
         if op is _DEEP_OP:
             return _deep_value(node, bindings, walk)
         raise TypeError(f"not a node kind: {node.kind!r}")
@@ -295,8 +299,8 @@ def _deep_value(node: ExprNode, bindings: Bindings, walker) -> float:
             else:
                 acc = ()  # the operands, in order
         else:
-            value = (bindings[child.var_index] if k is _VARIABLE
-                     else child.value if k is _CONSTANT else walker(child, bindings))
+            value = (bindings[child._arg] if k is _VARIABLE
+                     else child._arg if k is _CONSTANT else walker(child, bindings))
             while True:  # fold value into node, finishing every node it completes
                 if kind is _SUM:
                     acc += value
@@ -365,7 +369,8 @@ def evaluate(
 
     The source shape must match the method: an int id for BLACKBOX, an
     ExprNode for the tree methods, an expression string for STRING_PARSE
-    (``symbols`` applies only there; defaults to the x,y table).
+    (``symbols`` applies only there; defaults to the x,y table). With
+    ``nan_on_fault`` a domain fault gives NaN, under every method.
     """
     b = as_bindings(bindings)
     if method is _BLACKBOX:
@@ -373,7 +378,13 @@ def evaluate(
             raise MethodSourceMismatchError(f"BLACKBOX needs an int id, got {type(source).__name__}")
         fn = blackbox_lookup(source)
         _raise_unbound((0, 1), len(b))
-        return _new_outcome(EvalOutcome, (fn(b[0], b[1]), 0))
+        try:
+            value = fn(b[0], b[1])
+        except DomainFaultError:
+            if not nan_on_fault:
+                raise
+            value = math.nan
+        return _new_outcome(EvalOutcome, (value, 0))
     if method is _BINARY_TREE:
         if not isinstance(source, ExprNode):
             raise MethodSourceMismatchError(f"BINARY_TREE needs an ExprNode, got {type(source).__name__}")

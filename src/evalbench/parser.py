@@ -40,8 +40,10 @@ failing lexeme's ``Token`` gives the error its position. ``tokenize``
 stays public API; a ``Token`` is a named tuple, built in the scanner
 straight from a plain tuple. The tree actions make their nodes
 with the unchecked ``tree._Node``, passing the node counts they already
-know (the ``tree`` docstring says why that is safe), and reuse one leaf per
-variable index within a parse.
+know (the ``tree`` docstring says why that is safe). Within one parse they
+reuse one leaf per variable index and one leaf per distinct constant value,
+so a tree may share its leaves; nodes are immutable, so sharing changes no
+value, equality, hash or node count.
 """
 
 import enum
@@ -256,11 +258,11 @@ def _value_call(name: str):
 
 
 def _tree_binary(kind: OpKind):
-    return lambda left, right: _Node(kind, None, None, None, (left, right), left._size + right._size + 1)
+    return lambda left, right: _Node(kind, None, (left, right), left._size + right._size + 1)
 
 
 def _tree_call(name: str):
-    return lambda arg: _Node(_UNARY_FN, None, None, name, (arg,), arg._size + 1)
+    return lambda arg: _Node(_UNARY_FN, name, (arg,), arg._size + 1)
 
 
 # lexeme -> (reduction threshold, precedence, tree kind, value action). "^"
@@ -275,23 +277,20 @@ _BINARY = {
 
 
 class _Actions(NamedTuple):
-    """What the grammar loop does at each atom and reduction."""
+    """What the grammar loop does at each reduction."""
 
-    constant: object  # float -> operand
     negate: tuple  # operator-stack entry for unary minus
     binary: dict  # lexeme -> (reduction threshold, operator-stack entry)
     calls: dict  # function name -> marker whose action applies the function
 
 
 _TREE_ACTIONS = _Actions(
-    lambda value: _Node(_CONSTANT, value, None, None, (), 1),
-    (_NEGATE_PRECEDENCE, lambda arg: _Node(_NEGATE, None, None, None, (arg,), arg._size + 1)),
+    (_NEGATE_PRECEDENCE, lambda arg: _Node(_NEGATE, None, (arg,), arg._size + 1)),
     {lexeme: (threshold, (prec, _tree_binary(kind)))
      for lexeme, (threshold, prec, kind, _) in _BINARY.items()},
     {name: (0, _tree_call(name)) for name in UNARY_FUNCTIONS},
 )
 _VALUE_ACTIONS = _Actions(
-    float,
     (_NEGATE_PRECEDENCE, operator.neg),
     {lexeme: (threshold, (prec, action))
      for lexeme, (threshold, prec, _, action) in _BINARY.items()},
@@ -300,10 +299,18 @@ _VALUE_ACTIONS = _Actions(
 
 
 class _Leaves(dict):
-    """Variable index -> this parse's leaf, made on first use."""
+    """Payload -> this parse's leaf of ``kind`` holding it, made on first use.
+    Constants are keyed by their float value: a literal is finite and
+    non-negative, so no key is NaN or -0.0, and equal keys are the same
+    float."""
 
-    def __missing__(self, index: int) -> ExprNode:
-        leaf = self[index] = _Node(_VARIABLE, None, index, None, (), 1)
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: OpKind):
+        self.kind = kind
+
+    def __missing__(self, arg) -> ExprNode:
+        leaf = self[arg] = _Node(self.kind, arg, (), 1)
         return leaf
 
 
@@ -346,13 +353,14 @@ def _unknown_name(text: str, i: int, what: str, name: str):
     raise ParseError(ParseErrorKind.UNKNOWN_IDENTIFIER, tokenize(text)[i].position, f"unknown {what} {name!r}")
 
 
-def _run(lexemes: list[str], text: str, symbols: SymbolTable, variable, actions: _Actions):
+def _run(lexemes: list[str], text: str, symbols: SymbolTable, variable, constant, actions: _Actions):
     """Parse ``text``, scanned into ``lexemes``, with ``actions``; returns
     the one remaining operand.
 
-    ``variable`` maps a variable index to its operand.
+    ``variable`` maps a variable index, and ``constant`` a literal's float
+    value, to its operand.
     """
-    constant, negate, binary, calls = actions
+    negate, binary, calls = actions
     indices = symbols._indices
     functions = symbols._functions
     operands = []
@@ -421,7 +429,8 @@ def parse_to_tree(text: str, symbols: SymbolTable | None = None) -> ExprNode:
     """Parse ``text`` into a binary-form expression tree."""
     if symbols is None:
         symbols = DEFAULT_SYMBOLS
-    return _run(_LEXEMES(text), text, symbols, _Leaves().__getitem__, _TREE_ACTIONS)
+    return _run(_LEXEMES(text), text, symbols, _Leaves(_VARIABLE).__getitem__,
+                _Leaves(_CONSTANT).__getitem__, _TREE_ACTIONS)
 
 
 def interpret_string(text: str, symbols: SymbolTable, bindings: Bindings, nan_on_fault=False) -> tuple[float, int]:
@@ -429,7 +438,7 @@ def interpret_string(text: str, symbols: SymbolTable, bindings: Bindings, nan_on
     ``nan_on_fault`` a domain fault gives NaN instead of raising."""
     lexemes = _LEXEMES(text)
     try:
-        return _run(lexemes, text, symbols, bindings.__getitem__, _VALUE_ACTIONS), len(lexemes)
+        return _run(lexemes, text, symbols, bindings.__getitem__, float, _VALUE_ACTIONS), len(lexemes)
     except DomainFaultError:
         tokenize(text)  # a lexical error anywhere in the text comes first
         if nan_on_fault:

@@ -58,7 +58,7 @@ def _flat(node: ExprNode) -> ExprNode:
                     kids[i] = new
         if kids is None:
             return node
-    return _Node(kind, None, None, node.fn_name, tuple(kids), sum(map(_size, kids), 1))
+    return _Node(kind, node._arg, tuple(kids), sum(map(_size, kids), 1))
 
 
 def _operands(children: tuple, kind: OpKind, out: list) -> bool:
@@ -120,7 +120,7 @@ def _flatten_deep(tree: ExprNode) -> ExprNode:
         if n == len(children) and all(map(is_, kids, children)):
             built.append(node)
             continue
-        built.append(_Node(node.kind, None, None, node.fn_name, tuple(kids), sum(map(_size, kids), 1)))
+        built.append(_Node(node.kind, node._arg, tuple(kids), sum(map(_size, kids), 1)))
     return built[0]
 
 

@@ -1,7 +1,9 @@
 """Expression-tree data model shared by every evaluation strategy.
 
-A tree node carries an operator kind, an optional constant value, an
-optional variable index and an ordered child tuple. Nodes are immutable
+A tree node carries an operator kind, one payload and an ordered child
+tuple. The payload is a constant's value, a variable's index or a
+function's name; the public fields ``value``, ``var_index`` and ``fn_name``
+read it, each ``None`` where the kind does not use it. Nodes are immutable
 after construction; the ``make_*`` constructors validate the arity rules
 once, so everything downstream may rely on them.
 
@@ -9,8 +11,8 @@ Every node also stores its subtree's node count when it is built, so
 ``count_nodes`` is O(1). A subtree shared by several parents counts once
 per occurrence, exactly as a walk would enter it.
 
-``_Node(kind, value, var_index, fn_name, children, size)`` builds a node
-with none of those checks, taking the node count from its caller. Only code
+``_Node(kind, arg, children, size)`` builds a node with payload ``arg``
+and none of those checks, taking the node count from its caller. Only code
 whose own input rules already guarantee them may call it: the parser (the
 lexer rejects non-finite constants, the symbol table admits only known
 function names and the grammar fixes every arity), ``flatten`` (which
@@ -81,6 +83,9 @@ _ARITY = {
 }
 
 
+_CONSTANT = OpKind.CONSTANT
+_VARIABLE = OpKind.VARIABLE
+_UNARY_FN = OpKind.UNARY_FN
 _SUM = OpKind.SUM
 _PRODUCT = OpKind.PRODUCT
 
@@ -103,18 +108,20 @@ class _Node:
     sets the opcode ``_op``, then re-classes the node as a frozen
     ``ExprNode`` before returning it.
 
+    ``_arg`` is the payload: a constant's value, a variable's index, a
+    function call's name, or None. One slot for all three keeps a node at
+    five slots, inside the allocator's 80-byte class.
+
     ``_op`` is the node's kind, except that a node of more than ``_DEEP``
     nodes gets ``_DEEP_OP``, and otherwise a sum or product with other than
     exactly two children gets ``_SUM_FOLD`` or ``_PRODUCT_FOLD``. So the
     walkers test no size, and fold only where ``flatten`` merged."""
 
-    __slots__ = ("kind", "value", "var_index", "fn_name", "children", "_size", "_op")
+    __slots__ = ("kind", "_arg", "children", "_size", "_op")
 
-    def __init__(self, kind, value, var_index, fn_name, children, size):
+    def __init__(self, kind, arg, children, size):
         self.kind = kind
-        self.value = value
-        self.var_index = var_index
-        self.fn_name = fn_name
+        self._arg = arg
         self.children = children
         self._size = size
         if size > _DEEP:
@@ -138,7 +145,24 @@ class ExprNode(_Node):
     __init__ = object.__init__  # _Node's __init__ has already run in __new__
 
     def __new__(cls, kind, value=None, var_index=None, fn_name=None, children=()):
-        return _Node(kind, value, var_index, fn_name, children, 1 + sum(child._size for child in children))
+        arg = (value if kind is _CONSTANT else var_index if kind is _VARIABLE
+               else fn_name if kind is _UNARY_FN else None)
+        return _Node(kind, arg, children, 1 + sum(child._size for child in children))
+
+    @property
+    def value(self) -> float | None:
+        """A constant's value; None for every other kind."""
+        return self._arg if self.kind is _CONSTANT else None
+
+    @property
+    def var_index(self) -> int | None:
+        """A variable's index; None for every other kind."""
+        return self._arg if self.kind is _VARIABLE else None
+
+    @property
+    def fn_name(self) -> str | None:
+        """A function call's name; None for every other kind."""
+        return self._arg if self.kind is _UNARY_FN else None
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -162,19 +186,18 @@ class ExprNode(_Node):
 
 
 def _shapes(tree: ExprNode) -> tuple:
-    """Each node's fields and child count, in preorder: they fix the tree."""
-    return tuple((node.kind, node.value, node.var_index, node.fn_name, len(node.children))
-                 for node, _ in _preorder(tree))
+    """Each node's kind, payload and child count, in preorder: they fix the tree."""
+    return tuple((node.kind, node._arg, len(node.children)) for node, _ in _preorder(tree))
 
 
 def _rebuild(shapes: tuple) -> ExprNode:
     """The tree whose ``_shapes`` are ``shapes``, built from the last node
     back with an explicit stack, so pickling and copying work at any depth."""
     built: list[ExprNode] = []  # the subtrees built so far, the leftmost on top
-    for kind, value, var_index, fn_name, n in reversed(shapes):
+    for kind, arg, n in reversed(shapes):
         children = tuple(built[:-n - 1:-1])
         del built[len(built) - n:]
-        built.append(_Node(kind, value, var_index, fn_name, children, 1 + sum(c._size for c in children)))
+        built.append(_Node(kind, arg, children, 1 + sum(c._size for c in children)))
     return built[0]
 
 

@@ -247,6 +247,36 @@ def test_bench_validation_failure_exits_3(capsys, monkeypatch):
     assert "benchmark aborted" in err
 
 
+def test_validate_disagreement_exits_3_with_a_fail_line(capsys, monkeypatch):
+    import evalbench.cli as cli_mod
+    from evalbench.benchmark import cross_validate
+    from evalbench.evaluators import BLACKBOX_FUNCTIONS
+
+    table = dict(BLACKBOX_FUNCTIONS)
+    table[2] = lambda x, y: x - y  # test double: expression 2 computes x - y
+    monkeypatch.setattr(cli_mod, "cross_validate", lambda **kwargs: cross_validate(**kwargs, blackbox_table=table))
+    code, out, _ = run(capsys, "validate", "--points", "50")
+    assert code == 3
+    fails = [line for line in out.splitlines() if line.startswith("FAIL:")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL: expression 2 (x+y)")
+    assert "PASS" not in out
+
+
+@pytest.mark.parametrize("ids", ["a", "9", "1,a", "0"])
+def test_bench_rejects_bad_expression_ids(capsys, ids):
+    code, out, err = run(capsys, "bench", "--n", "50", "--expressions", ids)
+    assert code == 1 and out == "" and "expression" in err
+
+
+def test_bench_runs_repeated_expression_ids_once(capsys):
+    code, out, _ = run(
+        capsys, "bench", "--n", "50", "--repetitions", "2", "--min-window", "5",
+        "--methods", "blackbox", "--expressions", "1,1,2", "--format", "json",
+    )
+    assert code == 0
+    assert sorted(cell["expression_id"] for cell in json.loads(out)["cells"]) == [1, 2]
+
+
 def test_bench_rejects_unknown_method(capsys):
     code, _, _ = run(capsys, "bench", "--methods", "nary,quantum")
     assert code == 1

@@ -202,6 +202,34 @@ def test_nan_on_fault_mode():
         assert outcome.visits == count_nodes(tree) == 4
 
 
+def _outcome_or_fault(method, source, point, nan_on_fault):
+    try:
+        return evaluate(method, source, Bindings(point), nan_on_fault=nan_on_fault).value
+    except DomainFaultError as fault:
+        return fault.op, fault.operands
+
+
+@pytest.mark.parametrize("fid", [3, 4, 6])
+@pytest.mark.parametrize("point", [(-1.0, 0.5), (-2.0, 0.5), (10.0, 400.0), (0.0, -1.0), (1e200, 1.0)])
+def test_every_method_meets_the_same_fault_outside_the_unit_square(fid, point):
+    text = EXPRESSIONS[fid]
+    tree = parse_to_tree(text)
+    sources = {EvalMethod.BLACKBOX: fid, EvalMethod.BINARY_TREE: tree,
+               EvalMethod.NARY_TREE: flatten(tree), EvalMethod.STRING_PARSE: text}
+    raised = {method: _outcome_or_fault(method, source, point, False) for method, source in sources.items()}
+    assert len(set(map(repr, raised.values()))) == 1, raised
+    quiet = [_outcome_or_fault(method, source, point, True) for method, source in sources.items()]
+    first = raised[EvalMethod.BLACKBOX]
+    if isinstance(first, tuple):  # a typed fault: NaN under nan_on_fault, whatever the method
+        assert all(math.isnan(value) for value in quiet)
+    else:
+        assert quiet == [first] * 4
+    if fid == 6 and point[0] == 1e200:  # (x+y)*x^y overflows to inf, and sin(inf) faults
+        assert first == ("sin", (math.inf,))
+    elif point[0] != 1e200:
+        assert first[0] == "power" and first[1] == point
+
+
 def test_oracle_equivalence_all_functions():
     # Both tree encodings of every suite function must match its black-box
     # routine at 1000 shared points.

@@ -194,6 +194,12 @@ def test_eval_string_domain_fault():
         eval_string("1/(x-x)", bindings=(1.0,))
 
 
+def test_eval_string_power_fault_names_its_operands():
+    with pytest.raises(DomainFaultError) as info:
+        eval_string("(0-1)^0.5")
+    assert info.value.op == "power" and info.value.operands == (-1.0, 0.5)
+
+
 def test_symbol_table_validation():
     with pytest.raises(ValueError):
         SymbolTable(("x", "x"))

@@ -131,7 +131,7 @@ def test_nodes_are_immutable():
         node.value = 2.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         node.children = ()
-    for field in ("kind", "value", "var_index", "fn_name", "children", "_size", "_op"):
+    for field in ("kind", "value", "var_index", "fn_name", "_arg", "children", "_size", "_op"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(node, field, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -141,6 +141,59 @@ def test_nodes_are_immutable():
     fake = types.SimpleNamespace(kind=OpKind.CONSTANT, value=1.0, var_index=None, fn_name=None, children=(), _size=1)
     with pytest.raises(TypeError):
         make_op(OpKind.NEGATE, (fake,))
+
+
+def test_payload_fields_are_none_where_the_kind_does_not_use_them():
+    tree = parse_to_tree("sin(x) * 2.5 - -y ^ 3 / z", _XYZ)
+    used = {OpKind.CONSTANT: "value", OpKind.VARIABLE: "var_index", OpKind.UNARY_FN: "fn_name"}
+    for node in (node for built in (tree, flatten(tree), _pickled(tree)) for node, _ in _preorder(built)):
+        for field in ("value", "var_index", "fn_name"):
+            assert (getattr(node, field) is None) is (used.get(node.kind) != field)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, field, 1.0)
+    # a direct ExprNode(...) keeps only the payload its kind uses
+    odd = ExprNode(OpKind.SUM, value=1.0, var_index=0, fn_name="sin", children=(make_variable(0),) * 2)
+    assert (odd.value, odd.var_index, odd.fn_name) == (None, None, None)
+    assert odd == make_op(OpKind.SUM, (make_variable(0),) * 2)
+    assert ExprNode(OpKind.VARIABLE, value=2.0, var_index=3).value is None
+
+
+def test_nodes_fit_the_80_byte_allocation_class():
+    # CPython's allocator rounds an object up to a multiple of 16 bytes, so
+    # 72 bytes is the most that stays in the 80-byte class.
+    tree = parse_to_tree("sin(x) + 2")
+    for node, _ in _preorder(tree):
+        assert sys.getsizeof(node) <= 72
+
+
+def test_one_leaf_per_variable_and_per_constant_value_within_a_parse():
+    tree = parse_to_tree("2*x + 2*y + 2.0 + 20e-1 + 3")
+    leaves = [node for node, _ in _preorder(tree) if not node.children]
+    twos = [leaf for leaf in leaves if leaf.kind is OpKind.CONSTANT and leaf.value == 2.0]
+    assert len(twos) == 4 and all(leaf is twos[0] for leaf in twos)
+    three = next(leaf for leaf in leaves if leaf.value == 3.0)
+    assert three is not twos[0]
+    # leaves are per parse, never shared between two parses
+    again = parse_to_tree("2*x")
+    assert again.children[0] is not twos[0] and again.children[1] is not tree.children[0].children[0]
+
+
+def _unshared(tree):
+    """``tree`` rebuilt with a new node at every position: no leaf shared."""
+    return _remake(tree, lambda node, kids: ExprNode(node.kind, node.value, node.var_index, node.fn_name, kids))
+
+
+@given(tree=trees())
+def test_shared_leaves_change_nothing_visible(tree):
+    parsed = parse_to_tree(to_source(tree), _XYZ)
+    fresh = _unshared(parsed)
+    assert count_nodes(parsed) == count_nodes(fresh)
+    assert parsed == fresh and hash(parsed) == hash(fresh) and repr(parsed) == repr(fresh)
+    assert pickle.dumps(parsed) == pickle.dumps(fresh) and _pickled(parsed) == fresh
+    flat = flatten(parsed)
+    assert flatten(flat) is flat
+    assert flat == flatten(fresh) and repr(flat) == repr(flatten(fresh))
+    assert count_nodes(flat) == count_nodes(flatten(fresh))
 
 
 def _every_node_is_frozen(tree):
