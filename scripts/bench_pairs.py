@@ -3,10 +3,13 @@
 
     python3 scripts/bench_pairs.py --workload fresh-exprs --seed 1 --pairs 10
     python3 scripts/bench_pairs.py --workload long-chains --base HEAD~1
+    python3 scripts/bench_pairs.py --workload paper-suite --workload fresh-exprs --workload long-chains
 
 The base revision (default HEAD, so the uncommitted change is measured) is
-extracted with ``git archive`` into a temporary directory, removed again at
-the end; the repository's ``.git`` is not written to.
+extracted once with ``git archive`` into a temporary directory, removed
+again at the end; the repository's ``.git`` is not written to. ``--workload``
+may be given more than once: the workloads run one after another against
+that one extraction, and each gets its own table when its pairs are done.
 Each pair runs ``perfbench/run.py --trace 0`` once in that checkout and
 once in the working tree, each with its own copy of perfbench, for
 BENCHMARK.json's ``run_seconds``; the side that runs first alternates
@@ -73,7 +76,8 @@ def report(metrics: list[dict], base_runs: list[dict], change_runs: list[dict]) 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True,
+                        help="workload to run; repeat for several")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--base", default="HEAD", help="revision to compare against (default: HEAD)")
@@ -94,16 +98,17 @@ def main() -> int:
                        check=True)
         shutil.unpack_archive(archive, base_dir)
         sides = {"base": base_dir, "change": root}
-        runs: dict[str, list[dict]] = {"base": [], "change": []}
-        for i in range(args.pairs):
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            for side in order:
-                runs[side].append(run_once(sides[side], args.workload, args.seed, seconds))
-            print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
-
-    print(f"workload {args.workload} seed {args.seed} {seconds:g} s, {args.pairs} pairs, "
-          f"base {args.base} vs working tree")
-    report(spec["end_to_end"], runs["base"], runs["change"])
+        for workload in args.workload:
+            runs: dict[str, list[dict]] = {"base": [], "change": []}
+            for i in range(args.pairs):
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                for side in order:
+                    runs[side].append(run_once(sides[side], workload, args.seed, seconds))
+                print(f"{workload}: pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
+            print(f"workload {workload} seed {args.seed} {seconds:g} s, {args.pairs} pairs, "
+                  f"base {args.base} vs working tree")
+            report(spec["end_to_end"], runs["base"], runs["change"])
+            print(flush=True)
     return 0
 
 

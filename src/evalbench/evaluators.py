@@ -28,9 +28,13 @@ subtree's height is at most its node count, so a node of more than
 ``tree._DEEP`` nodes carries a deep opcode, and every other node is walked
 by plain recursion. The walkers test no size: their last branch hands a
 deep node to ``_deep_value``, one explicit-stack post-order loop shared
-by both, which hands every child without the deep opcode back to the
-recursive walker. It keeps reading order, so values and the first
-fault are the same either way.
+by both. It gives a deep sum or product one frame for its whole left
+spine of deep nodes of its kind, folding the spine's operands into one
+accumulator; it applies every other deep node's operator to its operands'
+values through the string evaluator's checked helpers, so a walk builds
+no node; and it hands every operand without the deep opcode back to the
+recursive walker. It keeps reading order, so values and the first fault
+are the same either way.
 """
 
 import enum
@@ -43,7 +47,7 @@ from .errors import (
     MethodSourceMismatchError,
     UnknownFunctionIdError,
 )
-from .parser import DEFAULT_SYMBOLS, SymbolTable, _power, _value_call, interpret_string
+from .parser import DEFAULT_SYMBOLS, SymbolTable, _power, _quotient, _value_call, interpret_string
 from .tree import (
     UNARY_FUNCTIONS,
     _DEEP_OP,
@@ -277,27 +281,47 @@ nary_value.__doc__ = """Evaluate any valid tree, folding sums and products over 
 def _deep_value(node: ExprNode, bindings: Bindings, walker) -> float:
     """``walker``'s value of ``node``, a node marked ``_DEEP_OP``: a
     post-order loop, on an explicit stack, over its subtrees so marked, that
-    hands every other child to ``walker``. Sums and products fold in place
-    from -0.0 and 1.0 (under ``binary_value`` they must have two children);
-    ``_apply`` finishes the other kinds."""
+    hands every other operand to ``walker``. A marked sum or product takes
+    one frame for its whole left spine of marked nodes of its kind, whose
+    operands, gathered in reading order, fold into one accumulator from
+    -0.0 or 1.0; both are exact identities, so the bits are recursion's.
+    Under ``binary_value`` every spine node must have two children, checked
+    top-down before any operand is evaluated. The other kinds apply their
+    operator to their operands' values through the string evaluator's
+    checked helpers, so a walk builds no node."""
     binary = walker is binary_value
-    # Each unfinished ancestor's node, next child index and fold, laid flat:
-    # a frame object per level would keep thousands of new objects alive for
-    # the garbage collector to promote and rescan during a long walk.
+    # Each unfinished ancestor's node, operands, operand count, next operand
+    # index and fold, laid flat: a frame object per level would keep
+    # thousands of new objects alive for the garbage collector to promote
+    # and rescan during a long walk.
     stack = []
-    child, node, kind, children, n, i, acc = node, None, None, (), 0, 0, None  # node None: the caller's frame
+    child, node, kind, operands, n, i, acc = node, None, None, (), 0, 0, None  # node None: the caller's frame
     while True:
         k = child._op
         if k is _DEEP_OP:
-            stack += node, i, acc
-            node, kind, children, i = child, child.kind, child.children, 0
-            n = len(children)
+            stack += node, operands, n, i, acc
+            node, kind, i = child, child.kind, 0
             if kind is _SUM or kind is _PRODUCT:
-                if binary and n != 2:
-                    raise ArityMismatchError(kind, n, "exactly 2 (binary form)")
+                operands = []  # the spine's later operands, last first
+                while True:
+                    children = child.children
+                    n = len(children)
+                    if n == 2:
+                        operands.append(children[1])
+                    elif binary:
+                        raise ArityMismatchError(kind, n, "exactly 2 (binary form)")
+                    else:
+                        operands += children[:0:-1]
+                    child = children[0]
+                    if child._op is not _DEEP_OP or child.kind is not kind:
+                        break
+                operands.append(child)
+                operands.reverse()
+                n = len(operands)
                 acc = -0.0 if kind is _SUM else 1.0
-            else:
-                acc = ()  # the operands, in order
+            else:  # fixed arity, indexed as the walker does
+                operands = child.children
+                n = 1 if kind is _NEGATE or kind is _UNARY_FN else 2
         else:
             value = (bindings[child._arg] if k is _VARIABLE
                      else child._arg if k is _CONSTANT else walker(child, bindings))
@@ -306,27 +330,28 @@ def _deep_value(node: ExprNode, bindings: Bindings, walker) -> float:
                     acc += value
                 elif kind is _PRODUCT:
                     acc *= value
+                elif i < n:
+                    acc = value  # a two-operand kind's first operand
+                elif kind is _DIFFERENCE:
+                    acc -= value
+                elif kind is _QUOTIENT:
+                    acc = _quotient(acc, value)
+                elif kind is _POWER:
+                    acc = _power(acc, value)
+                elif kind is _NEGATE:
+                    acc = -value
                 else:
-                    acc += (value,)
+                    acc = _value_call(node._arg)(value)
                 if i < n:
                     break
-                value = acc if kind is _SUM or kind is _PRODUCT else _apply(walker, node, acc, bindings)
-                acc = stack.pop()
-                i = stack.pop()
-                node = stack.pop()
+                value = acc
+                node, operands, n, i, acc = stack[-5:]
+                del stack[-5:]
                 if node is None:
                     return value
-                kind, children = node.kind, node.children
-                n = len(children)
-        child = children[i]
+                kind = node.kind
+        child = operands[i]
         i += 1
-
-
-def _apply(walker, node, operands, bindings):
-    """``node``'s operator applied to ``operands`` by ``walker`` itself, so
-    the operator and fault rules live in the walker alone."""
-    leaves = tuple(ExprNode(_CONSTANT, value) for value in operands)
-    return walker(ExprNode(node.kind, fn_name=node.fn_name, children=leaves), bindings)
 
 
 def _outcome(walker, tree: ExprNode, bindings: Bindings, nan_on_fault: bool) -> EvalOutcome:

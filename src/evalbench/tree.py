@@ -91,9 +91,8 @@ _PRODUCT = OpKind.PRODUCT
 
 #: Largest subtree the walkers and ``flatten`` enter by recursion: its height
 #: is at most its node count, so a walk started below the recursion limit's
-#: last few hundred frames stays inside it. At least 3, the size of the node
-#: that ``evaluators._apply`` builds. Read when a node is built, not when it
-#: is walked.
+#: last few hundred frames stays inside it. At least 1, so that no leaf is
+#: marked. Read when a node is built, not when it is walked.
 _DEEP = 300
 
 # The ``_op`` markers that stand in for a node's kind: a node of more than

@@ -3,7 +3,7 @@ import pickle
 import struct
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 
 from evalbench import (
     ArityMismatchError,
@@ -288,6 +288,23 @@ def _walk_result(walker, tree, b):
         return err.kind, err.got
 
 
+_X, _Y, _Z = make_variable(0), make_variable(1), make_variable(2)
+_DIFFERENCES = make_op(OpKind.DIFFERENCE, (make_op(OpKind.DIFFERENCE, (_X, _Y)), _Z))
+_LOG_OF_ZERO = make_op(OpKind.UNARY_FN, (make_op(OpKind.DIFFERENCE, (_X, _X)),), fn_name="log")
+_THREE_SUM = make_op(OpKind.SUM, (_X, _Y, _Z))
+
+
+def _sum(*children):
+    return make_op(OpKind.SUM, children)
+
+
+# Shapes the strategy does not find: a same-kind spine over a deep operand
+# of another kind, at the spine's bottom and in its middle; a three-child
+# sum met after a domain fault, as a spine's operand and as a spine link.
+@example(tree=_sum(_sum(_sum(_DIFFERENCES, _Y), _X), _Z), b=Bindings((0.5, 0.25, 1.5)))
+@example(tree=_sum(_sum(_sum(_X, _DIFFERENCES), _Y), _Z), b=Bindings((0.5, 0.25, 1.5)))
+@example(tree=_sum(_sum(_LOG_OF_ZERO, _THREE_SUM), _Y), b=Bindings((0.5, 0.25, 1.5)))
+@example(tree=_sum(make_op(OpKind.SUM, (_sum(_LOG_OF_ZERO, _X), _Y, _Z)), _X), b=Bindings((0.5, 0.25, 1.5)))
 @given(tree=trees(), b=bindings)
 def test_explicit_stack_walk_matches_recursion(tree, b):
     walks = ((binary_value, tree), (nary_value, tree), (nary_value, flatten(tree)))
@@ -304,6 +321,24 @@ def test_explicit_stack_walk_matches_recursion(tree, b):
         patch.setattr(evaluators_module, "_deep_value", lambda *args: driven.append(1) or deep_value(*args))
         assert [_walk_result(walker, t, b) for walker, t in walks] == want
     assert bool(driven) == (count_nodes(tree) > 3)
+
+
+def test_walks_build_no_nodes(monkeypatch):
+    texts = ["-".join(["x"] * 1000), "/".join(["x"] * 1000), "^".join(["x"] * 1000),
+             "-" * 1000 + "x", "sin(" * 1000 + "x" + ")" * 1000]
+    parsed = [parse_to_tree(text) for text in texts]
+    flat = [flatten(tree) for tree in parsed]
+    assert all(tree._op is tree_module._DEEP_OP for tree in parsed)
+    b = Bindings((0.5,))
+    built = []
+    init = tree_module._Node.__init__
+    monkeypatch.setattr(tree_module._Node, "__init__", lambda node, *args: built.append(1) or init(node, *args))
+    for tree in parsed + flat:
+        binary_value(tree, b)
+        nary_value(tree, b)
+    assert built == []
+    make_constant(1.0)  # the counter sees every node built
+    assert built == [1]
 
 
 @given(tree=trees(), binary_tree=trees(binary_only=True), b=bindings)

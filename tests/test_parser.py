@@ -488,6 +488,18 @@ def _deep_values(text, b):
     return [float.hex(v) for v in (binary_value(tree, b), nary_value(flatten(tree), b), eval_string(text, None, b))]
 
 
+def _terms(count, scale=_DEPTH):
+    """``count`` distinct constants near 1, so a change in the order of the
+    operations shows in the bits."""
+    return [repr(1 + i / scale) for i in range(1, count + 1)]
+
+
+_HALF, _QUARTER = _DEPTH // 2, _DEPTH // 4
+# a deep difference chain and a deep quotient chain, as one operand each
+_MINUS_CHAIN = "(" + "-".join(["x"] + _terms(_HALF - 1)) + ")"
+_DIVIDE_CHAIN = "(" + "/".join(["x"] + _terms(_HALF - 1, _DEPTH**2)) + ")"
+
+
 @pytest.mark.parametrize(
     "text, nodes",
     [
@@ -498,8 +510,16 @@ def _deep_values(text, b):
         # distinct terms, so a change in the order of the additions shows
         ("+".join(f"{1 + i / _DEPTH!r}*x" for i in range(_DEPTH)), 4 * _DEPTH - 1),
         ("*".join(["x"] + [repr(1 + i / _DEPTH**2) for i in range(1, _DEPTH)]), 2 * _DEPTH - 1),
+        ("x" + "".join("+-"[i % 2] + term for i, term in enumerate(_terms(_DEPTH - 1))), 2 * _DEPTH - 1),
+        ("-".join(["x"] + _terms(_DEPTH - 1)), 2 * _DEPTH - 1),
+        # a same-kind spine whose operands include a deep subtree of another kind
+        (_MINUS_CHAIN + "+" + "+".join(_terms(_HALF)), 2 * _DEPTH - 1),
+        ("+".join(_terms(_QUARTER) + [_MINUS_CHAIN] + _terms(_QUARTER)), 2 * _DEPTH - 1),
+        ("*".join(_terms(_QUARTER, _DEPTH**2) + [_DIVIDE_CHAIN] + _terms(_QUARTER, _DEPTH**2)), 2 * _DEPTH - 1),
     ],
-    ids=["parentheses", "prefix-minus", "nested-sin", "power-chain", "sum-chain", "product-chain"],
+    ids=["parentheses", "prefix-minus", "nested-sin", "power-chain", "sum-chain", "product-chain",
+         "mixed-sum-difference-chain", "difference-chain", "sum-over-deep-difference-first",
+         "sum-over-deep-difference-middle", "product-over-deep-quotient"],
 )
 def test_parser_depth_needs_no_python_stack(text, nodes):
     limit = sys.getrecursionlimit()
@@ -523,8 +543,15 @@ def test_parser_depth_needs_no_python_stack(text, nodes):
         # the first fault sits in a small subtree near the bottom of the chain
         ("+".join(["x"] * 3 + ["log(x-x)"] + ["x"] * _DEPTH + ["1/(x-x)"]), "log"),
         ("sin(" * _DEPTH + "x^(x-x-1)/(x-x)" + ")" * _DEPTH + "+sqrt(-x)", "quotient"),
+        # the first fault sits in a deep operand of a spine; in the first
+        # case, after another deep operand
+        (_MINUS_CHAIN + "+" + "+".join(["x"] * 100) + "+(" + "/".join(["x"] * 400) + "/(x-x))+sqrt(-x)",
+         "quotient"),
+        ("*".join(["x"] * 100) + "*(" + "-".join(["x"] * 600) + "-log(x-x))*" + _DIVIDE_CHAIN + "*sqrt(-x)",
+         "log"),
     ],
-    ids=["deep-operand", "shallow-operand", "nested-quotient"],
+    ids=["deep-operand", "shallow-operand", "nested-quotient", "sum-spine-deep-operands",
+         "product-spine-deep-operand"],
 )
 def test_deep_tree_raises_its_first_fault(text, op):
     b = Bindings((0.5,))
