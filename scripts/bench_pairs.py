@@ -32,14 +32,20 @@ import tempfile
 from pathlib import Path
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, side: str, workload: str, seed: int, seconds: float, pair: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
-    result = json.loads(out.strip().splitlines()[-1])
-    if not result["correct"]:
-        raise SystemExit(f"incorrect output in {checkout}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    run = f"{side} run of {workload}, seed {seed}, pair {pair} (in {checkout})"
+    if proc.returncode == 0:
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        if result["correct"]:
+            return {name: m["value"] for name, m in result["metrics"].items()}
+        failure = f"{run} gave incorrect output"
+    else:
+        failure = f"{run} exited with code {proc.returncode}"
+    tail = "\n".join(proc.stderr.splitlines()[-20:])
+    raise SystemExit(f"{failure}; the last lines of its stderr:\n{tail}")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -103,7 +109,7 @@ def main() -> int:
             for i in range(args.pairs):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for side in order:
-                    runs[side].append(run_once(sides[side], workload, args.seed, seconds))
+                    runs[side].append(run_once(sides[side], side, workload, args.seed, seconds, i + 1))
                 print(f"{workload}: pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
             print(f"workload {workload} seed {args.seed} {seconds:g} s, {args.pairs} pairs, "
                   f"base {args.base} vs working tree")

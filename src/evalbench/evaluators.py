@@ -24,17 +24,19 @@ with ``ArityMismatchError``. What separates the walkers is therefore the
 one call the n-ary form saves per collapsed node.
 
 Both walkers work at any depth without touching the recursion limit. A
-subtree's height is at most its node count, so a node of more than
-``tree._DEEP`` nodes carries a deep opcode, and every other node is walked
-by plain recursion. The walkers test no size: their last branch hands a
-deep node to ``_deep_value``, one explicit-stack post-order loop shared
-by both. It gives a deep sum or product one frame for its whole left
-spine of deep nodes of its kind, folding the spine's operands into one
-accumulator; it applies every other deep node's operator to its operands'
-values through the string evaluator's checked helpers, so a walk builds
-no node; and it hands every operand without the deep opcode back to the
-recursive walker. It keeps reading order, so values and the first fault
-are the same either way.
+node with a child of at least ``tree._DEEP`` nodes carries a deep
+opcode; every other node is at most ``tree._DEEP`` high, has no marked
+descendant, and is walked by plain recursion. So a flattened sum or
+product of small operands, however many, is folded in place. The walkers
+test no size: their last branch hands a deep node to ``_deep_value``,
+one explicit-stack post-order loop shared by both. It gives a deep sum
+or product one frame for its whole left spine of deep nodes of its kind,
+folding the spine's operands into one accumulator; it applies every
+other deep node's operator to its operands' values through the string
+evaluator's checked helpers, so a walk builds no node; and it hands
+every operand without the deep opcode back to the recursive walker. It
+keeps reading order, so values and the first fault are the same either
+way.
 """
 
 import enum

@@ -8,8 +8,9 @@ results. Difference, quotient and power are never collapsed; no algebraic
 rewriting (a-b into a + (-1*b), etc.) is performed.
 
 It works at any depth by the walkers' pattern (see ``evaluators``): a
-subtree not marked ``tree._DEEP_OP`` has at most ``tree._DEEP`` nodes and is
-flattened by recursion, and only the marked nodes are expanded on an
+node is marked ``tree._DEEP_OP`` when one of its children has at least
+``tree._DEEP`` nodes, so an unmarked subtree is at most ``tree._DEEP`` high
+and is flattened by recursion, and only the marked nodes are expanded on an
 explicit stack. A subtree with nothing to merge is not copied: the result
 shares it with the input, so flattening a flat tree returns the tree itself.
 
@@ -39,8 +40,9 @@ def flatten(tree: ExprNode) -> ExprNode:
 
 
 def _flat(node: ExprNode) -> ExprNode:
-    """``flatten(node)`` by recursion, at most ``_DEEP`` deep, for a node not
-    marked ``_DEEP_OP``. Leaves are read in place, not entered."""
+    """``flatten(node)`` by recursion, for a node not marked ``_DEEP_OP``:
+    it is at most ``_DEEP`` high and holds no marked node, so the recursion
+    is at most ``_DEEP`` deep. Leaves are read in place, not entered."""
     kind = node.kind
     children = node.children
     if kind is _SUM or kind is _PRODUCT:

@@ -89,14 +89,17 @@ _UNARY_FN = OpKind.UNARY_FN
 _SUM = OpKind.SUM
 _PRODUCT = OpKind.PRODUCT
 
-#: Largest subtree the walkers and ``flatten`` enter by recursion: its height
-#: is at most its node count, so a walk started below the recursion limit's
-#: last few hundred frames stays inside it. At least 1, so that no leaf is
-#: marked. Read when a node is built, not when it is walked.
+#: Bound on the height of a subtree the walkers and ``flatten`` enter by
+#: recursion, so a walk started below the recursion limit's last few hundred
+#: frames stays inside it. A node is marked deep when one of its children has
+#: at least ``_DEEP`` nodes; an unmarked node's children are then each at most
+#: ``_DEEP - 1`` high, so it is at most ``_DEEP`` high, and none of its
+#: descendants is marked. At least 1, so that no leaf is marked. Read when a
+#: node is built, not when it is walked.
 _DEEP = 300
 
-# The ``_op`` markers that stand in for a node's kind: a node of more than
-# ``_DEEP`` nodes, and a sum or product with other than two children.
+# The ``_op`` markers that stand in for a node's kind: a node with a child of
+# at least ``_DEEP`` nodes, and a sum or product with other than two children.
 _DEEP_OP = "deep"
 _SUM_FOLD = "sum-fold"
 _PRODUCT_FOLD = "product-fold"
@@ -111,10 +114,13 @@ class _Node:
     function call's name, or None. One slot for all three keeps a node at
     five slots, inside the allocator's 80-byte class.
 
-    ``_op`` is the node's kind, except that a node of more than ``_DEEP``
-    nodes gets ``_DEEP_OP``, and otherwise a sum or product with other than
-    exactly two children gets ``_SUM_FOLD`` or ``_PRODUCT_FOLD``. So the
-    walkers test no size, and fold only where ``flatten`` merged."""
+    ``_op`` is the node's kind, except that a node with a child of at least
+    ``_DEEP`` nodes gets ``_DEEP_OP`` (see ``_DEEP``), and otherwise a sum or
+    product with other than exactly two children gets ``_SUM_FOLD`` or
+    ``_PRODUCT_FOLD``. So the walkers test no size, recurse only into
+    unmarked nodes, and fold only where ``flatten`` merged, however many
+    operands it gathered. The mark implies more than ``_DEEP`` nodes, so the
+    children are read only past that test, and only up to the first big one."""
 
     __slots__ = ("kind", "_arg", "children", "_size", "_op")
 
@@ -123,12 +129,15 @@ class _Node:
         self._arg = arg
         self.children = children
         self._size = size
+        op = kind
+        if (kind is _SUM or kind is _PRODUCT) and len(children) != 2:
+            op = _SUM_FOLD if kind is _SUM else _PRODUCT_FOLD
         if size > _DEEP:
-            self._op = _DEEP_OP
-        elif (kind is _SUM or kind is _PRODUCT) and len(children) != 2:
-            self._op = _SUM_FOLD if kind is _SUM else _PRODUCT_FOLD
-        else:
-            self._op = kind
+            for child in children:
+                if child._size >= _DEEP:
+                    op = _DEEP_OP
+                    break
+        self._op = op
         self.__class__ = ExprNode
 
 

@@ -1,6 +1,7 @@
 import math
 import pickle
 import struct
+import sys
 
 import pytest
 from hypothesis import assume, example, given
@@ -300,11 +301,15 @@ def _sum(*children):
 
 # Shapes the strategy does not find: a same-kind spine over a deep operand
 # of another kind, at the spine's bottom and in its middle; a three-child
-# sum met after a domain fault, as a spine's operand and as a spine link.
+# sum met after a domain fault, as a spine's operand and as a spine link;
+# and, at the bound of three, a five-node sum whose children are all smaller
+# (not marked) and a sum with a three-node child (marked).
 @example(tree=_sum(_sum(_sum(_DIFFERENCES, _Y), _X), _Z), b=Bindings((0.5, 0.25, 1.5)))
 @example(tree=_sum(_sum(_sum(_X, _DIFFERENCES), _Y), _Z), b=Bindings((0.5, 0.25, 1.5)))
 @example(tree=_sum(_sum(_LOG_OF_ZERO, _THREE_SUM), _Y), b=Bindings((0.5, 0.25, 1.5)))
 @example(tree=_sum(make_op(OpKind.SUM, (_sum(_LOG_OF_ZERO, _X), _Y, _Z)), _X), b=Bindings((0.5, 0.25, 1.5)))
+@example(tree=_sum(_X, _Y, make_op(OpKind.NEGATE, (_X,))), b=Bindings((0.5, 0.25, 1.5)))
+@example(tree=_sum(make_op(OpKind.DIFFERENCE, (_X, _Y)), _Z), b=Bindings((0.5, 0.25, 1.5)))
 @given(tree=trees(), b=bindings)
 def test_explicit_stack_walk_matches_recursion(tree, b):
     walks = ((binary_value, tree), (nary_value, tree), (nary_value, flatten(tree)))
@@ -312,15 +317,15 @@ def test_explicit_stack_walk_matches_recursion(tree, b):
     driven = []
     deep_value = evaluators_module._deep_value
     with pytest.MonkeyPatch.context() as patch:
-        # Construction marks a node deep, so the trees are rebuilt under the
-        # smallest valid bound: every node of more than three nodes is then
-        # walked by the explicit-stack loop.
+        # Construction marks a node deep, so the trees are rebuilt under a
+        # bound of three: every node with a child of at least three nodes is
+        # then walked by the explicit-stack loop.
         patch.setattr(tree_module, "_DEEP", 3)
         rebuilt = pickle.loads(pickle.dumps(tree))
         walks = ((binary_value, rebuilt), (nary_value, rebuilt), (nary_value, flatten(rebuilt)))
         patch.setattr(evaluators_module, "_deep_value", lambda *args: driven.append(1) or deep_value(*args))
         assert [_walk_result(walker, t, b) for walker, t in walks] == want
-    assert bool(driven) == (count_nodes(tree) > 3)
+    assert bool(driven) == any(count_nodes(child) >= 3 for child in tree.children)
 
 
 def test_walks_build_no_nodes(monkeypatch):
@@ -339,6 +344,37 @@ def test_walks_build_no_nodes(monkeypatch):
     assert built == []
     make_constant(1.0)  # the counter sees every node built
     assert built == [1]
+
+
+def _sum_of_nested_sin(depths):
+    return "+".join("sin(" * depth + "x" + ")" * depth for depth in depths)
+
+
+@pytest.mark.parametrize(
+    "text, op",
+    [
+        pytest.param("+".join(["1.5*x^2*y^3"] * 4000), tree_module._SUM_FOLD, id="sum-of-terms"),
+        pytest.param("*".join(["x^0.0003"] * 4000), tree_module._PRODUCT_FOLD, id="product-of-powers"),
+        # Operands of 299 nodes, one short of the bound; then one of 300.
+        pytest.param(_sum_of_nested_sin([298] * 40), tree_module._SUM_FOLD, id="sum-of-299-node-operands"),
+        pytest.param(_sum_of_nested_sin([298] * 39 + [299]), tree_module._DEEP_OP, id="one-300-node-operand"),
+    ],
+)
+def test_flat_trees_fold_in_the_walker(text, op):
+    limit = sys.getrecursionlimit()
+    tree = parse_to_tree(text)
+    flat = flatten(tree)
+    assert flat._op is op
+    driven = []
+    deep_value = evaluators_module._deep_value
+    for b in (Bindings((0.5, 0.25)), Bindings((1.5, -0.75)), Bindings((-0.0, 0.0)), Bindings((-0.5, 2.0))):
+        want = _walk_result(binary_value, tree, b)
+        assert _walk_result(lambda text, b: eval_string(text, bindings=b), text, b) == want
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluators_module, "_deep_value", lambda *args: driven.append(1) or deep_value(*args))
+            assert _walk_result(nary_value, flat, b) == want
+    assert bool(driven) == (op is tree_module._DEEP_OP)
+    assert sys.getrecursionlimit() == limit
 
 
 @given(tree=trees(), binary_tree=trees(binary_only=True), b=bindings)

@@ -3,7 +3,7 @@ import pickle
 import sys
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 
 from evalbench import (
     DomainFaultError,
@@ -187,15 +187,19 @@ def _sharing(result, tree):
     return [position.get(id(node)) for node in _nodes(result)]
 
 
+# At the bound of three: a five-node sum whose children are all smaller (not
+# marked), and a sum with a three-node child (marked).
+@example(tree=make_op(OpKind.SUM, (_x(), _y(), make_op(OpKind.NEGATE, (_x(),)))))
+@example(tree=make_op(OpKind.SUM, (make_op(OpKind.DIFFERENCE, (_x(), _y())), _x())))
 @given(tree=trees())
 def test_explicit_stack_flatten_matches_recursion(tree):
     want = flatten(tree)
     driven = []
     flatten_deep = transform_module._flatten_deep
     with pytest.MonkeyPatch.context() as patch:
-        # Construction marks a node deep, so the tree is rebuilt under the
-        # smallest valid bound: every node of more than three nodes is then
-        # expanded by the explicit-stack loop.
+        # Construction marks a node deep, so the tree is rebuilt under a
+        # bound of three: every node with a child of at least three nodes is
+        # then expanded by the explicit-stack loop.
         patch.setattr(tree_module, "_DEEP", 3)
         rebuilt = pickle.loads(pickle.dumps(tree))
         patch.setattr(transform_module, "_flatten_deep", lambda t: driven.append(t) or flatten_deep(t))
@@ -205,7 +209,7 @@ def test_explicit_stack_flatten_matches_recursion(tree):
     assert got == want
     assert [node._op for node in _nodes(got)] == ops
     assert _sharing(got, rebuilt) == _sharing(want, tree)
-    assert bool(driven) == (count_nodes(tree) > 3)
+    assert bool(driven) == any(count_nodes(child) >= 3 for child in tree.children)
 
 
 def _chain_leaves(node, kind, operands):

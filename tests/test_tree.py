@@ -7,7 +7,7 @@ import sys
 import types
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from evalbench import (
@@ -236,7 +236,7 @@ def test_equality_hash_and_repr_at_any_depth(text_of):
 
 def _expected_op(node, deep):
     n = len(node.children)
-    if node._size > deep:
+    if any(child._size >= deep for child in node.children):
         return _DEEP_OP
     if node.kind is OpKind.SUM and n != 2:
         return _SUM_FOLD
@@ -262,8 +262,10 @@ def _through_make(node, children):
     return make_op(node.kind, children, node.fn_name)
 
 
-@given(tree=trees(), deep=st.sampled_from([3, 300]))
-def test_opcode_follows_kind_children_and_size_on_every_route(tree, deep):
+def _on_every_route(tree, deep):
+    """``tree`` built under ``_DEEP`` = ``deep`` by the parser, by ``make_*``
+    and by direct ``ExprNode(...)``, each also flattened, and all of those
+    pickled and copied."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tree_module, "_DEEP", deep)
         built = [
@@ -273,10 +275,54 @@ def test_opcode_follows_kind_children_and_size_on_every_route(tree, deep):
         ]
         built += [flatten(t) for t in built]
         built += [copied(t) for t in built for copied in (_pickled, copy.copy, copy.deepcopy)]
-    for t in built:
+    return built
+
+
+@given(tree=trees(), deep=st.sampled_from([3, 300]))
+def test_opcode_follows_kind_children_and_size_on_every_route(tree, deep):
+    for t in _on_every_route(tree, deep):
         for node, _ in _preorder(t):
             assert node._size == 1 + sum(child._size for child in node.children)
             assert node._op is _expected_op(node, deep)
+
+
+def _heights(tree):
+    """Each node's height, a leaf's being 1, by ``id``, from an explicit
+    post-order stack."""
+    height = {}
+    stack = [(tree, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            height[id(node)] = 1 + max((height[id(child)] for child in node.children), default=0)
+        elif id(node) not in height:
+            stack.append((node, True))
+            stack.extend((child, False) for child in node.children)
+    return height
+
+
+def _nested_sin(depth):
+    return parse_to_tree("sin(" * depth + "x" + ")" * depth)
+
+
+# Trees around the bound of 300: nested calls of 299, 300 and 301 nodes (the
+# last is the first marked), a binary sum spine whose operands are small,
+# and sums of 40 operands of 299 nodes, with and without one of 300.
+@example(tree=_nested_sin(298), deep=300)
+@example(tree=_nested_sin(299), deep=300)
+@example(tree=_nested_sin(300), deep=300)
+@example(tree=parse_to_tree("+".join(["sin(x)*y"] * 400)), deep=300)
+@example(tree=make_op(OpKind.SUM, [_nested_sin(298)] * 40), deep=300)
+@example(tree=make_op(OpKind.SUM, [_nested_sin(298)] * 39 + [_nested_sin(299)]), deep=300)
+@given(tree=trees(), deep=st.sampled_from([3, 300]))
+def test_unmarked_nodes_are_at_most_deep_high_on_every_route(tree, deep):
+    for t in _on_every_route(tree, deep):
+        height = _heights(t)
+        for node, _ in _preorder(t):
+            if node._op is _DEEP_OP:
+                assert any(child._size >= deep for child in node.children)
+            else:
+                assert height[id(node)] <= deep
 
 
 def test_nodes_pickle_and_copy():
