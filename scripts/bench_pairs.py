@@ -19,7 +19,9 @@ count for neither side), whether a gain could be claimed (wins in at
 least 9/10 of the pairs and medians further apart than the base's
 interquartile spread), and whether the change regressed: its median worse
 than the base's by more than the metric's ``bound``, a fraction of the
-base's median. Run it from anywhere in the repo.
+base's median. Each table ends with both sides' share of failed operations
+over all pairs; any larger share on the change side is a regression too.
+Run it from anywhere in the repo.
 """
 
 import argparse
@@ -40,7 +42,9 @@ def run_once(checkout: Path, side: str, workload: str, seed: int, seconds: float
     if proc.returncode == 0:
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         if result["correct"]:
-            return {name: m["value"] for name, m in result["metrics"].items()}
+            values = {name: m["value"] for name, m in result["metrics"].items()}
+            values["failed"], values["attempted"] = result["failed"], result["attempted"]
+            return values
         failure = f"{run} gave incorrect output"
     else:
         failure = f"{run} exited with code {proc.returncode}"
@@ -76,6 +80,14 @@ def report(metrics: list[dict], base_runs: list[dict], change_runs: list[dict]) 
         print(f"{name:34} {bm:>12.5g} [{b1:.5g}, {b3:.5g}] {cm:>12.5g} [{c1:.5g}, {c3:.5g}]"
               f" {delta:>7} {wins:>3}/{pairs}  {'yes' if claim else 'no':5}  "
               f"{'YES' if regressed else 'no'} (bound {m['bound']:.0%})")
+    # Any larger share of failed operations counts, whatever the bound on success_rate.
+    base_share, change_share = (sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs)
+                                for runs in (base_runs, change_runs))
+    rose = change_share > base_share
+    if rose:
+        regressions.append("failed share")
+    print(f"{'failed share, all pairs':34} {base_share:>34.5g} {change_share:>34.5g} {'':23}"
+          f"{'YES' if rose else 'no'} (any rise)")
     print(f"regressed past bound: {', '.join(regressions)}" if regressions
           else "no metric regressed past its bound")
 

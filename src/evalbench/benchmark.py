@@ -62,6 +62,12 @@ METHOD_LABELS = {
 _RNG_DESCRIPTION = "Mersenne Twister (random.Random), x then y per pair"
 
 
+def _reject_repeats(what: str, values: Sequence) -> None:
+    """A grid names each method and expression once: a repeat would time one cell twice."""
+    if len(set(values)) < len(values):
+        raise ValueError(f"{what} must not repeat, got {tuple(values)!r}")
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     """Benchmark parameters; defaults reproduce the desk-scale experiment."""
@@ -82,9 +88,11 @@ class BenchConfig:
             raise ValueError("min_window_ms must be > 0")
         if not self.methods:
             raise ValueError("at least one method is required")
+        _reject_repeats("methods", self.methods)
         bad = [e for e in self.expressions if e not in EXPRESSIONS]
         if bad or not self.expressions:
             raise ValueError(f"expression ids must be within 1..8, got {self.expressions!r}")
+        _reject_repeats("expression ids", self.expressions)
 
 
 @dataclass(frozen=True)
@@ -378,7 +386,9 @@ def cross_validate(
     bad = [e for e in ids if e not in EXPRESSIONS]
     if bad:
         raise ValueError(f"expression ids must be within 1..8, got {bad!r}")
+    _reject_repeats("expression ids", ids)
     methods = tuple(methods)
+    _reject_repeats("methods", methods)
     tolerance = 0.5 * 10.0 ** (-tolerance_sig_digits)
     points = generate_inputs(n_points, seed)
     bindings_list = [Bindings(pair) for pair in points]

@@ -49,7 +49,7 @@ from .errors import (
     MethodSourceMismatchError,
     UnknownFunctionIdError,
 )
-from .parser import DEFAULT_SYMBOLS, SymbolTable, _power, _quotient, _value_call, interpret_string
+from .parser import DEFAULT_SYMBOLS, _CHECKED_CALLS, SymbolTable, _power, _quotient, interpret_string
 from .tree import (
     UNARY_FUNCTIONS,
     _DEEP_OP,
@@ -99,7 +99,7 @@ class EvalOutcome(NamedTuple):
 # through the string evaluator's checked operators, so outside the square
 # a routine raises the same ``DomainFaultError`` as the other methods.
 
-_sin = _value_call("sin")
+_sin = _CHECKED_CALLS["sin"]
 
 def _f1(x, y):
     return x
@@ -343,7 +343,7 @@ def _deep_value(node: ExprNode, bindings: Bindings, walker) -> float:
                 elif kind is _NEGATE:
                     acc = -value
                 else:
-                    acc = _value_call(node._arg)(value)
+                    acc = _CHECKED_CALLS[node._arg](value)
                 if i < n:
                     break
                 value = acc

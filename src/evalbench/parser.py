@@ -32,13 +32,14 @@ order a left-to-right reading meets them.
 The loop reads the bare lexeme strings of one regex scan, whitespace
 skipped and an empty string at the end: one dict lookup per lexeme picks
 its action, and names and numbers are told apart by their first character.
-It builds no ``Token`` and tracks no positions. Errors are rare, so every
-error exit, and every domain fault or unbound variable on the way out,
-first runs ``tokenize`` over the whole text: a lexical error anywhere in
-the text wins, as if the text had been tokenized first, and otherwise the
-failing lexeme's ``Token`` gives the error its position. ``tokenize``
-stays public API; a ``Token`` is a named tuple, built in the scanner
-straight from a plain tuple. The tree actions make their nodes
+It builds no ``Token`` and tracks no positions. ``tokenize`` reads the
+matches of that same scan, so its token ``i`` is the loop's lexeme ``i``.
+Errors are rare, so every error exit, and every domain fault or unbound
+variable on the way out, first runs ``tokenize`` over the whole text: a
+lexical error anywhere in the text wins, as if the text had been tokenized
+first, and otherwise the failing lexeme's ``Token`` gives the error its
+position. ``tokenize`` stays public API; a ``Token`` is a named tuple,
+built straight from a plain tuple. The tree actions make their nodes
 with the unchecked ``tree._Node``, passing the node counts they already
 know (the ``tree`` docstring says why that is safe). Within one parse they
 reuse one leaf per variable index and one leaf per distinct constant value,
@@ -88,16 +89,6 @@ class Token(NamedTuple):
 # Builds a Token from a full 4-tuple, skipping the Python-level __new__.
 _new_token = tuple.__new__
 
-_SINGLE_CHAR = {
-    "+": TokenTag.PLUS,
-    "-": TokenTag.MINUS,
-    "*": TokenTag.STAR,
-    "/": TokenTag.SLASH,
-    "^": TokenTag.CARET,
-    "(": TokenTag.LPAREN,
-    ")": TokenTag.RPAREN,
-}
-
 _IDENTIFIER = "[A-Za-z_][A-Za-z0-9_]*"
 _is_identifier = re.compile(_IDENTIFIER).fullmatch
 
@@ -109,68 +100,59 @@ _TOKEN = (
     rf"|{_IDENTIFIER}"
     r"|[0-9]+(?![0-9])(?:\.[0-9]+(?![0-9])|(?!\.))(?:[eE][+-]?[0-9]+|(?![eE]))"
 )
-# ``tokenize``'s scanner: one lexeme per token or whitespace run (``\s`` is
-# exactly ``str.isspace``). Where a number would stop at a "." or "e", the
-# bad-number branch takes the digits up to and including it. Every
-# position starts some match, so the lexemes tile the text and a token's
-# position is their summed length before it. A ``finditer`` scanner, one
-# match object per token, measured long-chains walks 5-7% slower over the
-# trees it had parsed (CPython 3.11, shared 2-vCPU host; cause not found);
-# ``findall`` returns plain strings.
-_SCAN = re.compile(rf"{_TOKEN}|[0-9]+(?:\.[0-9]+)?[.eE]|\s+|.", re.DOTALL).findall
-# The grammar loop's scanner: the same tokens with whitespace skipped, and
-# an empty lexeme at the end of the text. It has no bad-number branch: a
-# number it cannot complete falls to ``\S`` one character at a time, and
-# what follows its first digit (a digit, "." or "e") is never an operator,
-# ")" or the end, so the loop stops there and ``tokenize`` reports it.
-_LEXEMES = re.compile(rf"\s*({_TOKEN}|\S)|\Z").findall
-# What a lexeme in operand position is, by its first character.
+# The one scanner. A match skips whitespace (``\s`` is exactly
+# ``str.isspace``) and takes one lexeme as group 1: a token, or else any one
+# non-space character. The last match is the empty one at the end of the
+# text. A number the token branch cannot complete falls to ``\S``, so its
+# first digit alone becomes the lexeme; what follows that digit (a digit,
+# "." or "e") is never an operator, ")" or the end, so the loop stops there
+# and ``tokenize`` reports the bad number. The loop reads plain strings
+# through ``findall``; ``tokenize`` reads the same matches, with their
+# positions, through ``finditer``.
+_SCANNER = re.compile(rf"\s*({_TOKEN}|\S)|\Z")
+_LEXEMES = _SCANNER.findall
+# A number that cannot be completed, from its first digit up to and
+# including the "." or exponent marker where it fails. A complete one-digit
+# number is followed by no digit, "." or "e", so this matches at none, and
+# ``tokenize`` tries it only on one-digit lexemes.
+_bad_number = re.compile(r"[0-9]+(?:\.[0-9]+)?[.eE]").match
+# What a lexeme is, by its first character.
 _LEAD = dict.fromkeys(string.ascii_letters + "_", TokenTag.IDENT) | dict.fromkeys(
     string.digits, TokenTag.NUMBER
-) | {"-": TokenTag.MINUS, "(": TokenTag.LPAREN}
+) | {char: TokenTag(char) for char in "+-*/^()"}
 
 
 class SymbolTable:
-    """Immutable name->index map for variables plus the function-name set.
+    """Immutable name->index map for variables.
 
     Variable indices are the positions in the name sequence, so they are
-    unique and contiguous from 0. The default table maps x->0, y->1.
+    unique and contiguous from 0. The default table maps x->0, y->1. The
+    function names are the keys of ``tree.UNARY_FUNCTIONS``, and no
+    variable may take one.
     """
 
-    __slots__ = ("_names", "_indices", "_functions")
+    __slots__ = ("_names", "_indices")
 
-    def __init__(self, variables=("x", "y"), functions=None):
+    def __init__(self, variables=("x", "y")):
         names = tuple(variables)
-        funcs = frozenset(UNARY_FUNCTIONS if functions is None else functions)
-        if not funcs <= set(UNARY_FUNCTIONS):
-            unknown = ", ".join(sorted(funcs - set(UNARY_FUNCTIONS)))
-            raise ValueError(f"unsupported function names: {unknown}")
         seen = set()
         for name in names:
             if not _is_identifier(name):
                 raise ValueError(f"invalid variable name {name!r}")
             if name in seen:
                 raise ValueError(f"duplicate variable name {name!r}")
-            if name in funcs:
+            if name in UNARY_FUNCTIONS:
                 raise ValueError(f"{name!r} is a function name; variables must be disjoint")
             seen.add(name)
         self._names = names
         self._indices = {name: i for i, name in enumerate(names)}
-        self._functions = funcs
 
     @property
     def variable_names(self) -> tuple[str, ...]:
         return self._names
 
-    @property
-    def functions(self) -> frozenset:
-        return self._functions
-
     def variable_index(self, name: str) -> int | None:
         return self._indices.get(name)
-
-    def is_function(self, name: str) -> bool:
-        return name in self._functions
 
     def __repr__(self) -> str:
         return f"SymbolTable(variables={self._names!r})"
@@ -187,29 +169,29 @@ def tokenize(text: str) -> list[Token]:
     """
     tokens: list[Token] = []
     append = tokens.append
-    position = 0
-    for lexeme in _SCAN(text):
-        tag = _SINGLE_CHAR.get(lexeme)
-        if tag is not None:
-            append(_new_token(Token, (tag, position, None, None)))
-            position += 1
-            continue
+    for match in _SCANNER.finditer(text):
+        lexeme = match[1]
+        if lexeme is None:  # the empty match at the end
+            break
+        position = match.start(1)
         tag = _LEAD.get(lexeme[0])
         if tag is TokenTag.IDENT:
             append(_new_token(Token, (tag, position, None, lexeme)))
         elif tag is TokenTag.NUMBER:
-            if lexeme[-1] in ".eE":
-                end = position + len(lexeme) - 1
-                if lexeme[-1] == ".":
+            bad = _bad_number(text, position) if len(lexeme) == 1 else None
+            if bad is not None:
+                end = bad.end() - 1
+                if text[end] == ".":
                     raise ParseError(ParseErrorKind.BAD_NUMBER, end, "expected digits after decimal point")
                 raise ParseError(ParseErrorKind.BAD_NUMBER, end, "expected digits in exponent")
             value = float(lexeme)
             if not math.isfinite(value):
                 raise ParseError(ParseErrorKind.BAD_NUMBER, position, "literal overflows a float")
             append(_new_token(Token, (tag, position, value, None)))
-        elif not lexeme.isspace():
+        elif tag is not None:
+            append(_new_token(Token, (tag, position, None, None)))
+        else:
             raise ParseError(ParseErrorKind.UNEXPECTED_TOKEN, position, f"unexpected character {lexeme!r}")
-        position += len(lexeme)
     append(_new_token(Token, (TokenTag.END, len(text), None, None)))
     return tokens
 
@@ -257,6 +239,11 @@ def _value_call(name: str):
     return call
 
 
+# Each function's checked call, built once: the value actions, the deep
+# walk in ``evaluators`` and the black-box routines all read this table.
+_CHECKED_CALLS = {name: _value_call(name) for name in UNARY_FUNCTIONS}
+
+
 def _tree_binary(kind: OpKind):
     return lambda left, right: _Node(kind, None, (left, right), left._size + right._size + 1)
 
@@ -294,7 +281,7 @@ _VALUE_ACTIONS = _Actions(
     (_NEGATE_PRECEDENCE, operator.neg),
     {lexeme: (threshold, (prec, action))
      for lexeme, (threshold, prec, _, action) in _BINARY.items()},
-    {name: (0, _value_call(name)) for name in UNARY_FUNCTIONS},
+    {name: (0, call) for name, call in _CHECKED_CALLS.items()},
 )
 
 
@@ -362,7 +349,6 @@ def _run(lexemes: list[str], text: str, symbols: SymbolTable, variable, constant
     """
     negate, binary, calls = actions
     indices = symbols._indices
-    functions = symbols._functions
     operands = []
     stack = [_TOP]
     i = 0
@@ -373,9 +359,10 @@ def _run(lexemes: list[str], text: str, symbols: SymbolTable, variable, constant
         lead = _LEAD.get(lexeme[:1])
         if lead is _IDENT:
             if lexemes[i] == "(":
-                if lexeme not in functions:
+                call = calls.get(lexeme)
+                if call is None:
                     _unknown_name(text, i - 1, "function", lexeme)
-                stack.append(calls[lexeme])
+                stack.append(call)
                 i += 1
                 continue
             index = indices.get(lexeme)

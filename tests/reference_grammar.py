@@ -100,7 +100,7 @@ def _run(tokens: list[Token], symbols: SymbolTable, variable, actions: _Actions)
     """
     constant, negate, binary, calls = actions
     indices = symbols._indices
-    functions = symbols._functions
+    functions = UNARY_FUNCTIONS
     operands = []
     stack = [_TOP]
     i = 0

@@ -58,6 +58,8 @@ def test_generate_inputs_empty():
         {"expressions": (9,)},
         {"expressions": ()},
         {"methods": ()},
+        {"expressions": (2, 2)},
+        {"methods": (EvalMethod.BINARY_TREE, EvalMethod.NARY_TREE, EvalMethod.NARY_TREE)},
     ],
 )
 def test_bench_config_validation(kwargs):
@@ -152,9 +154,18 @@ def test_cross_validate_detects_faulty_routine():
     assert worst.worst_point is not None
 
 
-def test_cross_validate_rejects_bad_digits():
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        pytest.param({"tolerance_sig_digits": 0}, id="zero-digits"),
+        pytest.param({"expressions": [9]}, id="unknown-id"),
+        pytest.param({"expressions": [3, 3]}, id="repeated-id"),
+        pytest.param({"methods": [EvalMethod.NARY_TREE, EvalMethod.NARY_TREE]}, id="repeated-method"),
+    ],
+)
+def test_cross_validate_rejects_bad_input(kwargs):
     with pytest.raises(ValueError):
-        cross_validate(tolerance_sig_digits=0)
+        cross_validate(**kwargs)
 
 
 def test_cross_validate_same_seed_same_verdict():

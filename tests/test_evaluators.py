@@ -33,6 +33,7 @@ from evalbench import (
 )
 from evalbench.benchmark import EXPRESSIONS
 import evalbench.evaluators as evaluators_module
+import evalbench.parser as parser_module
 import evalbench.tree as tree_module
 from evalbench.evaluators import binary_value, nary_value
 from strategies import bindings, handbuilt_binary_tree, handbuilt_nary_tree, has_like_chain, trees
@@ -344,6 +345,21 @@ def test_walks_build_no_nodes(monkeypatch):
     assert built == []
     make_constant(1.0)  # the counter sees every node built
     assert built == [1]
+
+
+def test_deep_function_nodes_build_no_checked_calls(monkeypatch):
+    tree = parse_to_tree("sin(" * 10_000 + "x" + ")" * 10_000)
+    assert tree._op is tree_module._DEEP_OP
+    built = []
+
+    def counted(name):
+        built.append(name)
+        return parser_module._value_call(name)
+
+    monkeypatch.setattr(evaluators_module, "_value_call", counted, raising=False)
+    b = Bindings((0.5,))
+    assert float.hex(binary_value(tree, b)) == float.hex(nary_value(tree, b))
+    assert built == []
 
 
 def _sum_of_nested_sin(depths):
