@@ -24,7 +24,7 @@ import struct
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ClockUnavailableError, ValidationFailureError
 from .evaluators import EvalMethod, binary_value, blackbox_lookup, nary_value
@@ -45,12 +45,7 @@ EXPRESSIONS: dict[int, str] = {
     8: "2*x*y*(x+y+1)",
 }
 
-ALL_METHODS = (
-    EvalMethod.BLACKBOX,
-    EvalMethod.BINARY_TREE,
-    EvalMethod.NARY_TREE,
-    EvalMethod.STRING_PARSE,
-)
+ALL_METHODS = tuple(EvalMethod)
 
 METHOD_LABELS = {
     EvalMethod.BLACKBOX: "Black-box functions",
@@ -62,10 +57,14 @@ METHOD_LABELS = {
 _RNG_DESCRIPTION = "Mersenne Twister (random.Random), x then y per pair"
 
 
-def _reject_repeats(what: str, values: Sequence) -> None:
-    """A grid names each method and expression once: a repeat would time one cell twice."""
-    if len(set(values)) < len(values):
-        raise ValueError(f"{what} must not repeat, got {tuple(values)!r}")
+def _check_grid(methods: Sequence[EvalMethod], expressions: Sequence[int]) -> None:
+    """A grid names known expression ids, and each method and id once: a
+    repeat would time or check one cell twice."""
+    if any(e not in EXPRESSIONS for e in expressions):
+        raise ValueError(f"expression ids must be within 1..8, got {tuple(expressions)!r}")
+    for what, values in (("methods", methods), ("expression ids", expressions)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{what} must not repeat, got {tuple(values)!r}")
 
 
 @dataclass(frozen=True)
@@ -86,13 +85,9 @@ class BenchConfig:
             raise ValueError("repetitions must be >= 1")
         if not self.min_window_ms > 0:
             raise ValueError("min_window_ms must be > 0")
-        if not self.methods:
-            raise ValueError("at least one method is required")
-        _reject_repeats("methods", self.methods)
-        bad = [e for e in self.expressions if e not in EXPRESSIONS]
-        if bad or not self.expressions:
-            raise ValueError(f"expression ids must be within 1..8, got {self.expressions!r}")
-        _reject_repeats("expression ids", self.expressions)
+        if not (self.methods and self.expressions):
+            raise ValueError("at least one method and one expression id are required")
+        _check_grid(self.methods, self.expressions)
 
 
 @dataclass(frozen=True)
@@ -181,18 +176,16 @@ def _build_profile() -> str:
 def _make_sweep(
     method: EvalMethod,
     expression_id: int,
-    blackbox_table: Mapping[int, Callable[[float, float], float]] | None = None,
 ) -> Callable[[Sequence[tuple[float, float]], Sequence[Bindings]], float]:
     """A pass over given points that returns the sum of the results.
 
     Source preparation (routine lookup, tree building, flattening) happens
     here, outside any timed region. ``run_benchmark`` times passes over the
     whole point set; ``cross_validate`` passes one point at a time, where
-    the sum is that point's value. ``blackbox_table`` substitutes the
-    black-box registry.
+    the sum is that point's value.
     """
     if method is EvalMethod.BLACKBOX:
-        fn = blackbox_table[expression_id] if blackbox_table else blackbox_lookup(expression_id)
+        fn = blackbox_lookup(expression_id)
 
         def sweep(points, bindings_list) -> float:
             acc = 0.0
@@ -369,7 +362,6 @@ def cross_validate(
     seed: int = 42,
     tolerance_sig_digits: int = 3,
     methods: Sequence[EvalMethod] = ALL_METHODS,
-    blackbox_table: Mapping[int, Callable[[float, float], float]] | None = None,
 ) -> ValidationReport:
     """Check that all selected methods agree on every selected expression.
 
@@ -377,25 +369,21 @@ def cross_validate(
     the report carries the worst relative deviation per expression over all
     method pairs. Passes iff every deviation is at most
     0.5 * 10^-tolerance_sig_digits; otherwise ValidationFailureError is
-    raised, carrying the full report. ``blackbox_table`` substitutes the
-    black-box registry (a hook for detector-sensitivity tests).
+    raised, carrying the full report and, as its message, the one line that
+    names the worst disagreement.
     """
     if tolerance_sig_digits < 1:
         raise ValueError("tolerance_sig_digits must be >= 1")
     ids = sorted(EXPRESSIONS if expressions is None else expressions)
-    bad = [e for e in ids if e not in EXPRESSIONS]
-    if bad:
-        raise ValueError(f"expression ids must be within 1..8, got {bad!r}")
-    _reject_repeats("expression ids", ids)
     methods = tuple(methods)
-    _reject_repeats("methods", methods)
+    _check_grid(methods, ids)
     tolerance = 0.5 * 10.0 ** (-tolerance_sig_digits)
     points = generate_inputs(n_points, seed)
     bindings_list = [Bindings(pair) for pair in points]
 
     checks = []
     for expression_id in ids:
-        sweeps = [(m, _make_sweep(m, expression_id, blackbox_table)) for m in methods]
+        sweeps = [(m, _make_sweep(m, expression_id)) for m in methods]
         worst_dev = 0.0
         worst_point = None
         worst_pair = None
@@ -425,8 +413,8 @@ def cross_validate(
         pair = " vs ".join(m.value for m in w.worst_pair)
         raise ValidationFailureError(
             report,
-            f"methods disagree on expression {w.expression_id}: {pair}, "
-            f"deviation {w.max_rel_deviation:.3e} at point {w.worst_point}",
+            f"expression {w.expression_id} ({EXPRESSIONS[w.expression_id]}), {pair}, "
+            f"deviation {w.max_rel_deviation:.3e} > tolerance {tolerance:.1e} at point {w.worst_point}",
         )
     return report
 

@@ -23,8 +23,8 @@ from .errors import (
     UnboundVariableError,
     ValidationFailureError,
 )
-from .evaluators import EvalMethod, eval_binary, eval_nary
-from .parser import SymbolTable, eval_string, parse_to_tree
+from .evaluators import EvalMethod, evaluate
+from .parser import SymbolTable, parse_to_tree
 from .transform import flatten
 from .tree import Bindings, format_tree, to_sexpr, variable_indices
 
@@ -33,8 +33,6 @@ EXIT_USAGE = 1
 EXIT_EVAL_FAULT = 2
 EXIT_VALIDATION = 3
 EXIT_ENVIRONMENT = 4
-
-_METHOD_BY_NAME = {m.value: m for m in EvalMethod}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -79,31 +77,28 @@ def _binding(text: str) -> tuple[str, float]:
     return name, value
 
 
-def _method_list(text: str) -> tuple[EvalMethod, ...]:
-    methods = []
-    for name in text.split(","):
-        name = name.strip()
-        method = _METHOD_BY_NAME.get(name)
-        if method is None:
-            choices = ", ".join(sorted(_METHOD_BY_NAME))
-            raise argparse.ArgumentTypeError(f"unknown method {name!r} (choices: {choices})")
-        if method not in methods:
-            methods.append(method)
-    return tuple(methods)
+def _method(text: str) -> EvalMethod:
+    name = text.strip()
+    try:
+        return EvalMethod(name)
+    except ValueError:
+        choices = ", ".join(sorted(m.value for m in EvalMethod))
+        raise argparse.ArgumentTypeError(f"unknown method {name!r} (choices: {choices})") from None
 
 
-def _expression_list(text: str) -> tuple[int, ...]:
-    ids = []
-    for part in text.split(","):
-        try:
-            eid = int(part)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad expression id {part!r}") from None
-        if eid not in EXPRESSIONS:
-            raise argparse.ArgumentTypeError(f"expression ids are 1..8, got {eid}")
-        if eid not in ids:
-            ids.append(eid)
-    return tuple(ids)
+def _expression_id(text: str) -> int:
+    try:
+        eid = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad expression id {text!r}") from None
+    if eid not in EXPRESSIONS:
+        raise argparse.ArgumentTypeError(f"expression ids are 1..8, got {eid}")
+    return eid
+
+
+def _comma_list(item):
+    """An argument type: comma-separated ``item``s, in order, each kept once."""
+    return lambda text: tuple(dict.fromkeys(map(item, text.split(","))))
 
 
 def _print_parse_error(text: str, err: ParseError) -> None:
@@ -146,14 +141,14 @@ def cmd_eval(args) -> int:
     size = max(bound, default=-1) + 1
     bindings = Bindings([bound.get(i, 0.0) for i in range(size)])
 
-    method = _METHOD_BY_NAME[args.method]
+    method = EvalMethod(args.method)
+    source = tree
+    if method is EvalMethod.NARY_TREE:
+        source = flatten(tree)
+    elif method is EvalMethod.STRING_PARSE:
+        source = args.expr
     try:
-        if method is EvalMethod.BINARY_TREE:
-            value = eval_binary(tree, bindings).value
-        elif method is EvalMethod.NARY_TREE:
-            value = eval_nary(flatten(tree), bindings).value
-        else:
-            value = eval_string(args.expr, symbols, bindings)
+        value = evaluate(method, source, bindings, symbols=symbols).value
     except (DomainFaultError, UnboundVariableError) as err:
         print(f"evaluation error: {err}", file=sys.stderr)
         return EXIT_EVAL_FAULT
@@ -176,22 +171,17 @@ def cmd_parse(args) -> int:
 def cmd_validate(args) -> int:
     if args.points == 0:
         print("warning: 0 points requested; validation is vacuous", file=sys.stderr)
+    failure = None
     try:
         report = cross_validate(
             n_points=args.points, seed=args.seed, tolerance_sig_digits=args.digits
         )
     except ValidationFailureError as err:
-        report = err.report
+        report, failure = err.report, err
     for check in report.checks:
         print(_check_line(check))
-    if not report.passed:
-        worst = report.worst()
-        pair = " vs ".join(m.value for m in worst.worst_pair)
-        print(
-            f"FAIL: expression {worst.expression_id} ({EXPRESSIONS[worst.expression_id]}), "
-            f"{pair}, deviation {worst.max_rel_deviation:.3e} "
-            f"> tolerance {report.tolerance:.1e} at point {worst.worst_point}"
-        )
+    if failure is not None:
+        print(f"FAIL: {failure}")
         return EXIT_VALIDATION
     print(f"PASS: all methods agree to {args.digits} significant digits "
           f"(tolerance {report.tolerance:.1e}, {args.points} points, seed {args.seed})")
@@ -287,10 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--repetitions", type=_positive_int, default=10)
     p_bench.add_argument("--min-window", type=_positive_float, default=100.0,
                          help="minimum measured CPU window in ms (default: 100)")
-    p_bench.add_argument("--methods", type=_method_list, default=ALL_METHODS,
+    p_bench.add_argument("--methods", type=_comma_list(_method), default=ALL_METHODS,
                          metavar="M1,M2,...",
                          help="comma-separated subset of blackbox,binary,nary,string")
-    p_bench.add_argument("--expressions", type=_expression_list, default=tuple(range(1, 9)),
+    p_bench.add_argument("--expressions", type=_comma_list(_expression_id), default=tuple(range(1, 9)),
                          metavar="N1,N2,...", help="comma-separated subset of 1..8")
     p_bench.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p_bench.set_defaults(func=cmd_bench)

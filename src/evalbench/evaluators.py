@@ -4,13 +4,13 @@ Three strategies live here: black-box routines whose formulas are fixed in
 the source and compiled at import, a binary-tree walker, and an n-ary-tree
 walker that folds sums and products over all children. A uniform
 ``evaluate`` dispatcher (which also covers direct string evaluation) serves
-the CLI and the benchmark harness.
+the CLI; the benchmark harness times the walkers directly.
 
 There is one walker per tree form. ``binary_value`` and ``nary_value``
 return the bare value and are what timed loops call; ``eval_binary`` and
 ``eval_nary`` wrap them in an ``EvalOutcome`` whose ``visits`` is the
-tree's node count. Every walk enters each node exactly once, so counting
-inside the walker would only add per-node cost to the path being timed.
+tree's node count, stored on the tree, so the walkers count nothing and
+add no per-node cost to the path being timed.
 
 The two walkers are one function body, built twice by ``_walker``. They
 dispatch on each node's private opcode ``_op``, set once when the node is
@@ -81,12 +81,12 @@ _STRING_PARSE = EvalMethod.STRING_PARSE
 class EvalOutcome(NamedTuple):
     """Result of one evaluation: a tuple, equal to ``(value, visits)``.
 
-    ``visits`` counts units of work: tree nodes entered for the tree
-    methods, tokens consumed for direct string evaluation, and 0 for
-    black-box calls (the routine's interior is opaque by definition).
-    When ``nan_on_fault`` turns a domain fault into NaN, the tree methods
-    still report the whole tree's node count, not the nodes entered before
-    the fault.
+    ``visits`` counts units of work: the tree's node count for the tree
+    methods (a walk enters only interior nodes and the root, and reads
+    leaf operands in place), tokens consumed for direct string evaluation,
+    and 0 for black-box calls (the routine's interior is opaque by
+    definition). A domain fault turned into NaN by ``nan_on_fault`` leaves
+    the tree methods' count unchanged.
     """
 
     value: float

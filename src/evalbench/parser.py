@@ -101,20 +101,22 @@ _TOKEN = (
     r"|[0-9]+(?![0-9])(?:\.[0-9]+(?![0-9])|(?!\.))(?:[eE][+-]?[0-9]+|(?![eE]))"
 )
 # The one scanner. A match skips whitespace (``\s`` is exactly
-# ``str.isspace``) and takes one lexeme as group 1: a token, or else any one
-# non-space character. The last match is the empty one at the end of the
-# text. A number the token branch cannot complete falls to ``\S``, so its
-# first digit alone becomes the lexeme; what follows that digit (a digit,
-# "." or "e") is never an operator, ")" or the end, so the loop stops there
-# and ``tokenize`` reports the bad number. The loop reads plain strings
-# through ``findall``; ``tokenize`` reads the same matches, with their
-# positions, through ``finditer``.
-_SCANNER = re.compile(rf"\s*({_TOKEN}|\S)|\Z")
+# ``str.isspace``) and takes one lexeme as group 1: a token, a run of digits,
+# or else any one non-space character. The last match is the empty one at
+# the end of the text. A number the token branch cannot complete falls to
+# ``[0-9]+``, so its whole run of digits becomes the lexeme and the next
+# match starts after it: the number branch is tried once per run, not once
+# per digit, and the scan stays linear. What follows the run ("." or "e") is
+# never an operator, ")" or the end, so the loop stops there and
+# ``tokenize`` reports the bad number. The loop reads plain strings through
+# ``findall``; ``tokenize`` reads the same matches, with their positions,
+# through ``finditer``.
+_SCANNER = re.compile(rf"\s*({_TOKEN}|[0-9]+|\S)|\Z")
 _LEXEMES = _SCANNER.findall
 # A number that cannot be completed, from its first digit up to and
-# including the "." or exponent marker where it fails. A complete one-digit
-# number is followed by no digit, "." or "e", so this matches at none, and
-# ``tokenize`` tries it only on one-digit lexemes.
+# including the "." or exponent marker where it fails. A complete number of
+# digits alone is followed by no digit, "." or "e", so this matches at none,
+# and ``tokenize`` tries it only on all-digit lexemes.
 _bad_number = re.compile(r"[0-9]+(?:\.[0-9]+)?[.eE]").match
 # What a lexeme is, by its first character.
 _LEAD = dict.fromkeys(string.ascii_letters + "_", TokenTag.IDENT) | dict.fromkeys(
@@ -178,7 +180,7 @@ def tokenize(text: str) -> list[Token]:
         if tag is TokenTag.IDENT:
             append(_new_token(Token, (tag, position, None, lexeme)))
         elif tag is TokenTag.NUMBER:
-            bad = _bad_number(text, position) if len(lexeme) == 1 else None
+            bad = _bad_number(text, position) if lexeme.isdigit() else None
             if bad is not None:
                 end = bad.end() - 1
                 if text[end] == ".":

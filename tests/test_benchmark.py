@@ -138,12 +138,11 @@ def test_cross_validate_zero_points_vacuous():
     assert report.passed
 
 
-def test_cross_validate_detects_faulty_routine():
+def test_cross_validate_detects_faulty_routine(monkeypatch):
     # test double: function 2 becomes x - y instead of x + y
-    table = dict(BLACKBOX_FUNCTIONS)
-    table[2] = lambda x, y: x - y
+    monkeypatch.setitem(BLACKBOX_FUNCTIONS, 2, lambda x, y: x - y)
     with pytest.raises(ValidationFailureError) as exc:
-        cross_validate(n_points=100, tolerance_sig_digits=3, blackbox_table=table)
+        cross_validate(n_points=100, tolerance_sig_digits=3)
     report = exc.value.report
     assert not report.passed
     failing = [c for c in report.checks if c.max_rel_deviation > report.tolerance]

@@ -70,6 +70,14 @@ def test_eval_domain_fault(capsys):
     assert "domain fault" in err
 
 
+@pytest.mark.parametrize("method", ["binary", "nary", "string"])
+def test_eval_extra_variable_under_every_method(capsys, method):
+    code, out, err = run(
+        capsys, "eval", "--expr", "z*2+x", "--method", method, "--bind", "z=3", "--bind", "x=0.5"
+    )
+    assert (code, out, err) == (0, "6.5\n", "")
+
+
 def test_eval_extra_variable_extends_table(capsys):
     code, out, _ = run(
         capsys, "eval", "--expr", "z*2", "--bind", "z=3"
@@ -248,18 +256,29 @@ def test_bench_validation_failure_exits_3(capsys, monkeypatch):
 
 
 def test_validate_disagreement_exits_3_with_a_fail_line(capsys, monkeypatch):
-    import evalbench.cli as cli_mod
-    from evalbench.benchmark import cross_validate
     from evalbench.evaluators import BLACKBOX_FUNCTIONS
 
-    table = dict(BLACKBOX_FUNCTIONS)
-    table[2] = lambda x, y: x - y  # test double: expression 2 computes x - y
-    monkeypatch.setattr(cli_mod, "cross_validate", lambda **kwargs: cross_validate(**kwargs, blackbox_table=table))
+    # test double: expression 2 computes x - y
+    monkeypatch.setitem(BLACKBOX_FUNCTIONS, 2, lambda x, y: x - y)
     code, out, _ = run(capsys, "validate", "--points", "50")
     assert code == 3
     fails = [line for line in out.splitlines() if line.startswith("FAIL:")]
     assert len(fails) == 1 and fails[0].startswith("FAIL: expression 2 (x+y)")
     assert "PASS" not in out
+
+
+def test_bench_abort_and_validate_fail_report_the_same_text(capsys, monkeypatch):
+    from evalbench.evaluators import BLACKBOX_FUNCTIONS
+
+    monkeypatch.setitem(BLACKBOX_FUNCTIONS, 2, lambda x, y: x - y)
+    # bench cross-validates 1000 points to 9 digits with its own seed
+    code, out, _ = run(capsys, "validate", "--points", "1000", "--digits", "9", "--seed", "5")
+    assert code == 3
+    (fail,) = [line for line in out.splitlines() if line.startswith("FAIL: ")]
+    code, out, err = run(capsys, "bench", "--n", "50", "--seed", "5")
+    assert code == 3 and out == ""
+    (abort,) = [line for line in err.splitlines() if "benchmark aborted" in line]
+    assert abort.endswith(fail[len("FAIL: "):])
 
 
 @pytest.mark.parametrize("ids", ["a", "9", "1,a", "0"])

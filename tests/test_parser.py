@@ -306,9 +306,10 @@ def _scan_outcome(scan, text):
         return err.kind, err.position, err.message
 
 
-# A one-digit lexeme is either a complete number or the first digit of a
+# An all-digit lexeme is either a complete number or the digit run of a
 # bad one: one-digit numbers at the end and before an operator, ")" or a
-# letter; bad numbers after and inside valid ones; Unicode whitespace.
+# letter; bad numbers after and inside valid ones, of one digit and of
+# several; Unicode whitespace.
 @example(text="x+2")
 @example(text="2+x")
 @example(text="(2)")
@@ -321,6 +322,10 @@ def _scan_outcome(scan, text):
 @example(text="2.e5")
 @example(text="2e+")
 @example(text="\xa02.\u2003")
+@example(text="123e")
+@example(text="12.5e+")
+@example(text="99..1")
+@example(text="10e5e")
 @given(
     text=st.text(max_size=40)
     | st.text(alphabet=st.sampled_from(_LEXER_EDGE_CHARACTERS) | st.characters(), max_size=40)
@@ -337,6 +342,20 @@ def test_tokenize_overlong_literals_match_reference_lexer(text):
     # a number that cannot be completed is an error at its "." or "e", even
     # when a prefix of its digits alone would already overflow a float
     assert _scan_outcome(tokenize, text) == _scan_outcome(reference_lexer.tokenize, text)
+
+
+def test_incomplete_number_is_one_lexeme():
+    # the scanner takes a digit run it cannot complete as one lexeme, so it
+    # never retries the number branch from each of its digits
+    assert len(parser_module._LEXEMES("1" * 5000 + ".")) == 3
+
+
+@pytest.mark.parametrize("parse", [eval_string, parse_to_tree])
+def test_long_incomplete_number_is_a_bad_number(parse):
+    with pytest.raises(ParseError) as exc:
+        parse("1" * 100_000 + ".")
+    assert exc.value.kind is ParseErrorKind.BAD_NUMBER
+    assert exc.value.position == 100_000
 
 
 _points = st.sampled_from([0.0, -0.0, 0.5, -1.5, 2.0, 1e300]) | st.floats(-3.0, 3.0)
