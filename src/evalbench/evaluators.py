@@ -37,6 +37,13 @@ evaluator's checked helpers, so a walk builds no node; and it hands
 every operand without the deep opcode back to the recursive walker. It
 keeps reading order, so values and the first fault are the same either
 way.
+
+So below ``tree._DEEP`` the n-ary form saves exactly one walker call per
+node that ``flatten`` removed. Above it, the binary form takes a deep
+spine's operands as steps of ``_deep_value``'s loop, not calls, so the
+n-ary form saves fewer calls than nodes and gains mostly by folding
+those operands in the walker's tighter loop. ``_walk_counts`` gives a
+walk's calls and steps without walking.
 """
 
 import enum
@@ -354,6 +361,34 @@ def _deep_value(node: ExprNode, bindings: Bindings, walker) -> float:
                 kind = node.kind
         child = operands[i]
         i += 1
+
+
+def _walk_counts(tree: ExprNode) -> tuple[int, int]:
+    """(walker entries, deep-loop steps) of a walk over ``tree``, by the
+    walkers' rule, computing no value. Both walkers follow the one rule, on
+    any tree they accept (``binary_value`` takes only binary form). The
+    walker is entered at the root and at every interior operand without the
+    deep opcode; ``_deep_value`` takes one step per operand that it gathers
+    for a marked node, or for a marked spine of like sums or products."""
+    entries, steps = int(tree._op is _DEEP_OP), 0  # a marked root is entered, then handed to _deep_value
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node._op is not _DEEP_OP:  # the walker is entered here
+            entries += 1
+            stack += [child for child in node.children if child.children]
+            continue
+        kind = node.kind
+        operands = node.children
+        if kind is _SUM or kind is _PRODUCT:
+            operands = []
+            while node._op is _DEEP_OP and node.kind is kind:
+                operands += node.children[1:]
+                node = node.children[0]
+            operands.append(node)
+        steps += len(operands)
+        stack += [child for child in operands if child.children]
+    return entries, steps
 
 
 def _outcome(walker, tree: ExprNode, bindings: Bindings, nan_on_fault: bool) -> EvalOutcome:

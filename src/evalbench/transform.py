@@ -14,6 +14,12 @@ and is flattened by recursion, and only the marked nodes are expanded on an
 explicit stack. A subtree with nothing to merge is not copied: the result
 shares it with the input, so flattening a flat tree returns the tree itself.
 
+The smallest tree with something to merge, ``sum(sum(a, b), c)``, has
+``_MERGEABLE`` (five) nodes: a sum or product of at least two children, one
+of them a like node of at least two children. So no subtree of fewer nodes
+is entered: its operands are shared as they are, which is what entering it
+would return, and the output is the same tree, sharing the same nodes.
+
 New nodes are built with the unchecked ``tree._Node``: regrouping the
 children of a valid tree keeps every arity and function name valid. The
 input must therefore be valid; a tree built through the ``make_*``
@@ -28,6 +34,9 @@ from .tree import _DEEP_OP, ExprNode, OpKind, _Node, count_nodes
 _SUM = OpKind.SUM
 _PRODUCT = OpKind.PRODUCT
 _size = attrgetter("_size")
+#: Nodes in the smallest tree that holds a merge, ``sum(sum(a, b), c)``; a
+#: fact of the grammar, not a tuning knob.
+_MERGEABLE = 5
 
 
 def flatten(tree: ExprNode) -> ExprNode:
@@ -42,7 +51,8 @@ def flatten(tree: ExprNode) -> ExprNode:
 def _flat(node: ExprNode) -> ExprNode:
     """``flatten(node)`` by recursion, for a node not marked ``_DEEP_OP``:
     it is at most ``_DEEP`` high and holds no marked node, so the recursion
-    is at most ``_DEEP`` deep. Leaves are read in place, not entered."""
+    is at most ``_DEEP`` deep. A child of fewer than ``_MERGEABLE`` nodes,
+    leaves included, holds no merge and is kept as it is, not entered."""
     kind = node.kind
     children = node.children
     if kind is _SUM or kind is _PRODUCT:
@@ -52,7 +62,7 @@ def _flat(node: ExprNode) -> ExprNode:
     else:
         kids = None
         for i, child in enumerate(children):
-            if child.children:
+            if child._size >= _MERGEABLE:
                 new = _flat(child)
                 if new is not child:
                     if kids is None:
@@ -65,13 +75,15 @@ def _flat(node: ExprNode) -> ExprNode:
 
 def _operands(children: tuple, kind: OpKind, out: list) -> bool:
     """Append to ``out`` the flattened operands of the ``kind`` chain over
-    ``children``, left to right; True unless they are ``children`` itself."""
+    ``children``, left to right; True unless they are ``children`` itself.
+    An operand of another kind is entered only if it has at least
+    ``_MERGEABLE`` nodes: a smaller one holds no merge and is kept as it is."""
     merged = False
     for child in children:
         if child.kind is kind:
             _operands(child.children, kind, out)
             merged = True
-        elif child.children:
+        elif child._size >= _MERGEABLE:
             new = _flat(child)
             out.append(new)
             merged = merged or new is not child
@@ -82,7 +94,8 @@ def _operands(children: tuple, kind: OpKind, out: list) -> bool:
 
 def _flatten_deep(tree: ExprNode) -> ExprNode:
     """``flatten(tree)`` on an explicit stack, for a tree marked ``_DEEP_OP``:
-    only marked nodes are expanded, and pass 2 hands the others to ``_flat``."""
+    only marked nodes are expanded, and pass 2 hands the others of at least
+    ``_MERGEABLE`` nodes to ``_flat``."""
     # Pass 1, mirror preorder (each node, then its operands right to left):
     # a marked sum or product stands for its whole chain of like nodes,
     # whose operands are gathered once and counted in ``counts``.
@@ -113,7 +126,7 @@ def _flatten_deep(tree: ExprNode) -> ExprNode:
     built: list[ExprNode] = []
     for node in reversed(order):
         if node._op is not _DEEP_OP:
-            built.append(_flat(node) if node.children else node)
+            built.append(_flat(node) if node._size >= _MERGEABLE else node)
             continue
         children = node.children
         n = counts.pop()

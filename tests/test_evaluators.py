@@ -1,3 +1,4 @@
+import inspect
 import math
 import pickle
 import struct
@@ -35,7 +36,7 @@ from evalbench.benchmark import EXPRESSIONS
 import evalbench.evaluators as evaluators_module
 import evalbench.parser as parser_module
 import evalbench.tree as tree_module
-from evalbench.evaluators import binary_value, nary_value
+from evalbench.evaluators import _walk_counts, binary_value, nary_value
 from strategies import bindings, handbuilt_binary_tree, handbuilt_nary_tree, has_like_chain, trees
 
 
@@ -364,6 +365,58 @@ def test_deep_function_nodes_build_no_checked_calls(monkeypatch):
 
 def _sum_of_nested_sin(depths):
     return "+".join("sin(" * depth + "x" + ")" * depth for depth in depths)
+
+
+_DEEP_LINES, _DEEP_START = inspect.getsourcelines(evaluators_module._deep_value)
+# The line of ``_deep_value`` that takes each gathered operand: one step.
+_STEP_LINE = _DEEP_START + next(i for i, line in enumerate(_DEEP_LINES) if line.strip() == "child = operands[i]")
+
+
+def _traced_walk(walker, tree, b):
+    """(entries into the code object both walkers share, runs of
+    ``_deep_value``'s step line) in ``walker(tree, b)``."""
+    walk_code, deep_code = binary_value.__code__, evaluators_module._deep_value.__code__
+    counts = [0, 0]
+
+    def step(frame, event, arg):
+        if event == "line" and frame.f_lineno == _STEP_LINE:
+            counts[1] += 1
+        return step
+
+    def call(frame, event, arg):
+        if frame.f_code is walk_code:
+            counts[0] += 1
+        return step if frame.f_code is deep_code else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        walker(tree, b)
+    finally:
+        sys.settrace(previous)
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("deep", [3, 300])
+@example(tree=parse_to_tree("+".join(["x*y"] * 400)), b=Bindings((0.5, 0.25, 1.5)))
+@given(tree=trees(binary_only=True), b=bindings)
+def test_walk_counts_match_the_walkers(deep, tree, b):
+    with pytest.MonkeyPatch.context() as patch:
+        # Construction marks a node deep, so the tree is rebuilt, and flattened, under ``deep``.
+        patch.setattr(tree_module, "_DEEP", deep)
+        tree = pickle.loads(pickle.dumps(tree))
+        flat = flatten(tree)
+    walks = ((binary_value, tree), (nary_value, tree), (nary_value, flat))
+    try:
+        traced = [_traced_walk(walker, t, b) for walker, t in walks]
+    except DomainFaultError:
+        assume(False)
+    assert traced == [_walk_counts(t) for _, t in walks]
+    if tree._op is not tree_module._DEEP_OP:
+        # Below ``_DEEP`` the n-ary form saves one call per node that ``flatten`` removed.
+        (binary, _), _, (nary, _) = traced
+        assert binary - nary == count_nodes(tree) - count_nodes(flat)
+        assert [steps for _, steps in traced] == [0, 0, 0]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import sys
@@ -21,6 +22,7 @@ from evalbench.benchmark import EXPRESSIONS
 import evalbench.transform as transform_module
 import evalbench.tree as tree_module
 from strategies import (
+    FN_NAMES,
     bindings,
     handbuilt_binary_tree,
     handbuilt_nary_tree,
@@ -210,6 +212,54 @@ def test_explicit_stack_flatten_matches_recursion(tree):
     assert [node._op for node in _nodes(got)] == ops
     assert _sharing(got, rebuilt) == _sharing(want, tree)
     assert bool(driven) == any(count_nodes(child) >= 3 for child in tree.children)
+
+
+def _small_trees(n):
+    """Every tree of exactly ``n`` nodes over the leaves x and 1.0: each
+    operator kind, each arity that fits, one function name."""
+    if n == 1:
+        return [_x(), make_constant(1.0)]
+    out = [make_op(OpKind.NEGATE, (c,)) for c in _small_trees(n - 1)]
+    out += [make_op(OpKind.UNARY_FN, (c,), fn_name=FN_NAMES[0]) for c in _small_trees(n - 1)]
+    # Split the n - 1 nodes below the root among two or more children.
+    for sizes in _splits(n - 1):
+        kinds = (OpKind.SUM, OpKind.PRODUCT) + ((OpKind.DIFFERENCE, OpKind.QUOTIENT, OpKind.POWER)
+                                                if len(sizes) == 2 else ())
+        for children in itertools.product(*map(_small_trees, sizes)):
+            out += [make_op(kind, children) for kind in kinds]
+    return out
+
+
+def _splits(total):
+    """Tuples of two or more positive sizes summing to ``total``."""
+    return [(first,) + rest for first in range(1, total) for rest in [(total - first,)] + _splits(total - first)]
+
+
+def test_trees_too_small_to_merge_flatten_to_themselves():
+    small = [tree for n in range(1, 5) for tree in _small_trees(n)]
+    assert {count_nodes(tree) for tree in small} == {1, 2, 3, 4}
+    assert any(len(tree.children) == 3 for tree in small)
+    for tree in small:
+        assert flatten(tree) is tree
+
+
+@pytest.mark.parametrize("deep", [3, 300])
+@given(tree=trees())
+def test_flatten_enters_no_subtree_too_small_to_merge(deep, tree):
+    want = flatten(tree)
+    if count_nodes(tree) < 5:
+        assert want is tree
+    entered = []
+    flat = transform_module._flat
+    with pytest.MonkeyPatch.context() as patch:
+        # Construction marks a node deep, so the tree is rebuilt under ``deep``.
+        patch.setattr(tree_module, "_DEEP", deep)
+        rebuilt = pickle.loads(pickle.dumps(tree))
+        patch.setattr(transform_module, "_flat", lambda node: entered.append(node) or flat(node))
+        assert flatten(rebuilt) == want
+    # The root is handed to ``_flat`` whatever its size, unless it is marked deep.
+    assert any(node is rebuilt for node in entered) == (rebuilt._op is not tree_module._DEEP_OP)
+    assert all(count_nodes(node) >= 5 for node in entered if node is not rebuilt)
 
 
 def _chain_leaves(node, kind, operands):
