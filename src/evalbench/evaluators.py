@@ -56,7 +56,7 @@ from .errors import (
     MethodSourceMismatchError,
     UnknownFunctionIdError,
 )
-from .parser import DEFAULT_SYMBOLS, _CHECKED_CALLS, SymbolTable, _power, _quotient, interpret_string
+from .parser import DEFAULT_SYMBOLS, _CHECKED_CALLS, _LEXEMES, SymbolTable, _power, _quotient, interpret_string
 from .tree import (
     UNARY_FUNCTIONS,
     _DEEP_OP,
@@ -292,12 +292,12 @@ def _deep_value(node: ExprNode, bindings: Bindings, walker) -> float:
     post-order loop, on an explicit stack, over its subtrees so marked, that
     hands every other operand to ``walker``. A marked sum or product takes
     one frame for its whole left spine of marked nodes of its kind, whose
-    operands, gathered in reading order, fold into one accumulator from
-    -0.0 or 1.0; both are exact identities, so the bits are recursion's.
-    Under ``binary_value`` every spine node must have two children, checked
-    top-down before any operand is evaluated. The other kinds apply their
-    operator to their operands' values through the string evaluator's
-    checked helpers, so a walk builds no node."""
+    operands, gathered in reading order by ``_spine``, fold into one
+    accumulator from -0.0 or 1.0; both are exact identities, so the bits are
+    recursion's. Under ``binary_value`` every spine node must have two
+    children, checked top-down before any operand is evaluated. The other
+    kinds apply their operator to their operands' values through the string
+    evaluator's checked helpers, so a walk builds no node."""
     binary = walker is binary_value
     # Each unfinished ancestor's node, operands, operand count, next operand
     # index and fold, laid flat: a frame object per level would keep
@@ -311,21 +311,7 @@ def _deep_value(node: ExprNode, bindings: Bindings, walker) -> float:
             stack += node, operands, n, i, acc
             node, kind, i = child, child.kind, 0
             if kind is _SUM or kind is _PRODUCT:
-                operands = []  # the spine's later operands, last first
-                while True:
-                    children = child.children
-                    n = len(children)
-                    if n == 2:
-                        operands.append(children[1])
-                    elif binary:
-                        raise ArityMismatchError(kind, n, "exactly 2 (binary form)")
-                    else:
-                        operands += children[:0:-1]
-                    child = children[0]
-                    if child._op is not _DEEP_OP or child.kind is not kind:
-                        break
-                operands.append(child)
-                operands.reverse()
+                operands = _spine(child, binary)
                 n = len(operands)
                 acc = -0.0 if kind is _SUM else 1.0
             else:  # fixed arity, indexed as the walker does
@@ -363,6 +349,30 @@ def _deep_value(node: ExprNode, bindings: Bindings, walker) -> float:
         i += 1
 
 
+def _spine(node: ExprNode, binary: bool) -> list:
+    """The operands, in reading order, of the spine of ``node``, a marked sum
+    or product: ``node`` and, down its first children, every marked node of
+    its kind. With ``binary`` every spine node must have two children,
+    checked top-down, as ``binary_value`` requires."""
+    kind = node.kind
+    operands = []  # the spine's later operands, last first
+    while True:
+        children = node.children
+        n = len(children)
+        if n == 2:
+            operands.append(children[1])
+        elif binary:
+            raise ArityMismatchError(kind, n, "exactly 2 (binary form)")
+        else:
+            operands += children[:0:-1]
+        node = children[0]
+        if node._op is not _DEEP_OP or node.kind is not kind:
+            break
+    operands.append(node)
+    operands.reverse()
+    return operands
+
+
 def _walk_counts(tree: ExprNode) -> tuple[int, int]:
     """(walker entries, deep-loop steps) of a walk over ``tree``, by the
     walkers' rule, computing no value. Both walkers follow the one rule, on
@@ -379,26 +389,16 @@ def _walk_counts(tree: ExprNode) -> tuple[int, int]:
             stack += [child for child in node.children if child.children]
             continue
         kind = node.kind
-        operands = node.children
-        if kind is _SUM or kind is _PRODUCT:
-            operands = []
-            while node._op is _DEEP_OP and node.kind is kind:
-                operands += node.children[1:]
-                node = node.children[0]
-            operands.append(node)
+        operands = _spine(node, False) if kind is _SUM or kind is _PRODUCT else node.children
         steps += len(operands)
         stack += [child for child in operands if child.children]
     return entries, steps
 
 
-def _outcome(walker, tree: ExprNode, bindings: Bindings, nan_on_fault: bool) -> EvalOutcome:
+def _outcome(walker, tree: ExprNode, bindings: Bindings) -> EvalOutcome:
     """Run ``walker`` over ``tree``; visits are the tree's node count."""
     try:
         value = walker(tree, bindings)
-    except DomainFaultError:
-        if not nan_on_fault:
-            raise
-        value = math.nan
     except IndexError:
         _raise_unbound((n.var_index for n, _ in _preorder(tree) if n.kind is _VARIABLE), len(bindings))
         raise
@@ -406,17 +406,17 @@ def _outcome(walker, tree: ExprNode, bindings: Bindings, nan_on_fault: bool) -> 
 
 
 def eval_binary(tree: ExprNode, bindings, *, nan_on_fault: bool = False) -> EvalOutcome:
-    """Evaluate a binary-form tree; ``visits`` is its node count.
-
-    With ``nan_on_fault`` a domain fault yields NaN instead of raising, so
-    batch loops are never interrupted by error handling.
-    """
-    return _outcome(binary_value, tree, as_bindings(bindings), nan_on_fault)
+    """``evaluate(EvalMethod.BINARY_TREE, ...)``: evaluate a binary-form tree;
+    ``visits`` is its node count. With ``nan_on_fault`` a domain fault yields
+    NaN instead of raising, so batch loops are never interrupted by error
+    handling."""
+    return evaluate(_BINARY_TREE, tree, bindings, nan_on_fault=nan_on_fault)
 
 
 def eval_nary(tree: ExprNode, bindings, *, nan_on_fault: bool = False) -> EvalOutcome:
-    """Evaluate any valid tree with the n-ary fold; ``visits`` is its node count."""
-    return _outcome(nary_value, tree, as_bindings(bindings), nan_on_fault)
+    """``evaluate(EvalMethod.NARY_TREE, ...)``: evaluate any valid tree with
+    the n-ary fold; ``visits`` is its node count."""
+    return evaluate(_NARY_TREE, tree, bindings, nan_on_fault=nan_on_fault)
 
 
 def evaluate(
@@ -429,34 +429,38 @@ def evaluate(
 ) -> EvalOutcome:
     """Uniform dispatch: route ``source`` to the strategy named by ``method``.
 
-    The source shape must match the method: an int id for BLACKBOX, an
-    ExprNode for the tree methods, an expression string for STRING_PARSE
-    (``symbols`` applies only there; defaults to the x,y table). With
-    ``nan_on_fault`` a domain fault gives NaN, under every method.
+    The source shape must match the method, or ``MethodSourceMismatchError``
+    is raised: an int id for BLACKBOX, an ExprNode for the tree methods, an
+    expression string for STRING_PARSE (``symbols`` applies only there;
+    defaults to the x,y table). With ``nan_on_fault`` a domain fault gives
+    NaN, under every method, with the method's usual ``visits``. This is the
+    only place where a fault becomes NaN: ``eval_binary`` and ``eval_nary``
+    call it, and the strategies below it always raise.
     """
     b = as_bindings(bindings)
-    if method is _BLACKBOX:
-        if not isinstance(source, int) or isinstance(source, bool):
-            raise MethodSourceMismatchError(f"BLACKBOX needs an int id, got {type(source).__name__}")
-        fn = blackbox_lookup(source)
-        _raise_unbound((0, 1), len(b))
-        try:
-            value = fn(b[0], b[1])
-        except DomainFaultError:
-            if not nan_on_fault:
-                raise
-            value = math.nan
-        return _new_outcome(EvalOutcome, (value, 0))
-    if method is _BINARY_TREE:
-        if not isinstance(source, ExprNode):
-            raise MethodSourceMismatchError(f"BINARY_TREE needs an ExprNode, got {type(source).__name__}")
-        return _outcome(binary_value, source, b, nan_on_fault)
-    if method is _NARY_TREE:
-        if not isinstance(source, ExprNode):
-            raise MethodSourceMismatchError(f"NARY_TREE needs an ExprNode, got {type(source).__name__}")
-        return _outcome(nary_value, source, b, nan_on_fault)
-    if method is _STRING_PARSE:
-        if not isinstance(source, str):
-            raise MethodSourceMismatchError(f"STRING_PARSE needs a string, got {type(source).__name__}")
-        return _new_outcome(EvalOutcome, interpret_string(source, symbols or DEFAULT_SYMBOLS, b, nan_on_fault))
+    try:
+        if method is _BLACKBOX:
+            if not isinstance(source, int) or isinstance(source, bool):
+                raise MethodSourceMismatchError(f"BLACKBOX needs an int id, got {type(source).__name__}")
+            fn = blackbox_lookup(source)
+            _raise_unbound((0, 1), len(b))
+            return _new_outcome(EvalOutcome, (fn(b[0], b[1]), 0))
+        if method is _BINARY_TREE:
+            if not isinstance(source, ExprNode):
+                raise MethodSourceMismatchError(f"BINARY_TREE needs an ExprNode, got {type(source).__name__}")
+            return _outcome(binary_value, source, b)
+        if method is _NARY_TREE:
+            if not isinstance(source, ExprNode):
+                raise MethodSourceMismatchError(f"NARY_TREE needs an ExprNode, got {type(source).__name__}")
+            return _outcome(nary_value, source, b)
+        if method is _STRING_PARSE:
+            if not isinstance(source, str):
+                raise MethodSourceMismatchError(f"STRING_PARSE needs a string, got {type(source).__name__}")
+            return _new_outcome(EvalOutcome, interpret_string(source, symbols or DEFAULT_SYMBOLS, b))
+    except DomainFaultError:
+        if not nan_on_fault:
+            raise
+        visits = (0 if method is _BLACKBOX else len(_LEXEMES(source)) if method is _STRING_PARSE
+                  else count_nodes(source))
+        return _new_outcome(EvalOutcome, (math.nan, visits))
     raise MethodSourceMismatchError(f"unknown method {method!r}")

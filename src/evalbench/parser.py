@@ -422,16 +422,14 @@ def parse_to_tree(text: str, symbols: SymbolTable | None = None) -> ExprNode:
                 _Leaves(_CONSTANT).__getitem__, _TREE_ACTIONS)
 
 
-def interpret_string(text: str, symbols: SymbolTable, bindings: Bindings, nan_on_fault=False) -> tuple[float, int]:
-    """Directly evaluate ``text``; returns (value, tokens consumed). With
-    ``nan_on_fault`` a domain fault gives NaN instead of raising."""
+def interpret_string(text: str, symbols: SymbolTable, bindings: Bindings) -> tuple[float, int]:
+    """Directly evaluate ``text``; returns (value, tokens consumed). A domain
+    fault always raises; ``evaluators.evaluate`` alone turns it into NaN."""
     lexemes = _LEXEMES(text)
     try:
         return _run(lexemes, text, symbols, bindings.__getitem__, float, _VALUE_ACTIONS), len(lexemes)
     except DomainFaultError:
         tokenize(text)  # a lexical error anywhere in the text comes first
-        if nan_on_fault:
-            return math.nan, len(lexemes)
         raise
     except IndexError:
         tokenize(text)

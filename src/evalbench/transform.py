@@ -14,6 +14,11 @@ and is flattened by recursion, and only the marked nodes are expanded on an
 explicit stack. A subtree with nothing to merge is not copied: the result
 shares it with the input, so flattening a flat tree returns the tree itself.
 
+One gatherer, ``_operands``, collects every node's flattened operands, with
+the node's own kind for a sum or product and None for the kinds that never
+merge; it rebuilds an operand it entered itself, so the recursion takes one
+frame per tree level, and the explicit-stack pass gathers by the same rule.
+
 The smallest tree with something to merge, ``sum(sum(a, b), c)``, has
 ``_MERGEABLE`` (five) nodes: a sum or product of at least two children, one
 of them a like node of at least two children. So no subtree of fewer nodes
@@ -50,45 +55,36 @@ def flatten(tree: ExprNode) -> ExprNode:
 
 def _flat(node: ExprNode) -> ExprNode:
     """``flatten(node)`` by recursion, for a node not marked ``_DEEP_OP``:
-    it is at most ``_DEEP`` high and holds no marked node, so the recursion
-    is at most ``_DEEP`` deep. A child of fewer than ``_MERGEABLE`` nodes,
-    leaves included, holds no merge and is kept as it is, not entered."""
+    it is at most ``_DEEP`` high and holds no marked node, so the recursion,
+    one frame per level, is at most ``_DEEP`` deep."""
     kind = node.kind
-    children = node.children
-    if kind is _SUM or kind is _PRODUCT:
-        kids = []
-        if not _operands(children, kind, kids):
-            return node
-    else:
-        kids = None
-        for i, child in enumerate(children):
-            if child._size >= _MERGEABLE:
-                new = _flat(child)
-                if new is not child:
-                    if kids is None:
-                        kids = list(children)
-                    kids[i] = new
-        if kids is None:
-            return node
+    kids = []
+    if not _operands(node.children, kind if kind is _SUM or kind is _PRODUCT else None, kids):
+        return node
     return _Node(kind, node._arg, tuple(kids), sum(map(_size, kids), 1))
 
 
-def _operands(children: tuple, kind: OpKind, out: list) -> bool:
-    """Append to ``out`` the flattened operands of the ``kind`` chain over
+def _operands(children: tuple, kind: OpKind | None, out: list) -> bool:
+    """Append to ``out`` the flattened operands of a node of ``kind`` over
     ``children``, left to right; True unless they are ``children`` itself.
-    An operand of another kind is entered only if it has at least
-    ``_MERGEABLE`` nodes: a smaller one holds no merge and is kept as it is."""
+    ``kind`` is the node's own kind for a sum or product, whose like children
+    are merged into it, and None for every other kind, which never merges.
+    An operand of another kind is entered, and rebuilt if anything under it
+    merged, only if it has at least ``_MERGEABLE`` nodes: a smaller one holds
+    no merge and is kept as it is. Each call is one frame for one tree level."""
     merged = False
     for child in children:
         if child.kind is kind:
             _operands(child.children, kind, out)
             merged = True
-        elif child._size >= _MERGEABLE:
-            new = _flat(child)
-            out.append(new)
-            merged = merged or new is not child
-        else:
-            out.append(child)
+            continue
+        if child._size >= _MERGEABLE:
+            own = child.kind
+            kids = []
+            if _operands(child.children, own if own is _SUM or own is _PRODUCT else None, kids):
+                child = _Node(own, child._arg, tuple(kids), sum(map(_size, kids), 1))
+                merged = True
+        out.append(child)
     return merged
 
 
@@ -108,18 +104,17 @@ def _flatten_deep(tree: ExprNode) -> ExprNode:
         if node._op is not _DEEP_OP:
             continue
         kind = node.kind
+        if kind is not _SUM and kind is not _PRODUCT:
+            kind = None  # as in ``_operands``: no child is merged
         start = len(stack)
-        if kind is _SUM or kind is _PRODUCT:
-            pending = list(node.children)
-            pending.reverse()
-            while pending:
-                child = pending.pop()
-                if child.kind is kind:
-                    pending.extend(reversed(child.children))
-                else:
-                    stack.append(child)
-        else:
-            stack.extend(node.children)
+        pending = list(node.children)
+        pending.reverse()
+        while pending:
+            child = pending.pop()
+            if child.kind is kind:
+                pending.extend(reversed(child.children))
+            else:
+                stack.append(child)
         counts.append(len(stack) - start)
     # Pass 2, the reverse: post-order, so each node's results lie on top of
     # ``built``, left to right.

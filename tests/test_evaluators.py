@@ -487,6 +487,9 @@ def test_evaluate_visit_conventions():
     assert evaluate(EvalMethod.NARY_TREE, handbuilt_nary_tree(), b).visits == 4
     # string parsing reports tokens consumed; always nonzero
     assert evaluate(EvalMethod.STRING_PARSE, "x+y+1", b).visits == 6
+    # a black-box fault turned into NaN still reports no visits: (-1)^0.5
+    value, visits = evaluate(EvalMethod.BLACKBOX, 3, Bindings((-1.0, 0.5)), nan_on_fault=True)
+    assert math.isnan(value) and visits == 0
 
 
 @pytest.mark.parametrize(
@@ -497,8 +500,13 @@ def test_evaluate_visit_conventions():
         (EvalMethod.BLACKBOX, "1"),
         (EvalMethod.BLACKBOX, True),
         (EvalMethod.STRING_PARSE, 1),
+        pytest.param(eval_binary, "x+y", id="eval_binary-x+y"),
+        pytest.param(eval_nary, "x+y", id="eval_nary-x+y"),
     ],
 )
 def test_evaluate_source_mismatch(method, source):
     with pytest.raises(MethodSourceMismatchError):
-        evaluate(method, source, Bindings((1.0, 1.0)))
+        if isinstance(method, EvalMethod):
+            evaluate(method, source, Bindings((1.0, 1.0)))
+        else:
+            method(source, Bindings((1.0, 1.0)))

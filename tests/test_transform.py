@@ -251,15 +251,80 @@ def test_flatten_enters_no_subtree_too_small_to_merge(deep, tree):
         assert want is tree
     entered = []
     flat = transform_module._flat
+    # Per ``_operands`` call below another: the caller's kind, its own kind
+    # and the size of the node whose children it gathers.
+    gathered, active = [], []
+    operands = transform_module._operands
+
+    def gather(children, kind, out):
+        if active:
+            gathered.append((active[-1], kind, 1 + sum(map(count_nodes, children))))
+        active.append(kind)
+        try:
+            return operands(children, kind, out)
+        finally:
+            active.pop()
+
     with pytest.MonkeyPatch.context() as patch:
         # Construction marks a node deep, so the tree is rebuilt under ``deep``.
         patch.setattr(tree_module, "_DEEP", deep)
         rebuilt = pickle.loads(pickle.dumps(tree))
         patch.setattr(transform_module, "_flat", lambda node: entered.append(node) or flat(node))
+        patch.setattr(transform_module, "_operands", gather)
         assert flatten(rebuilt) == want
     # The root is handed to ``_flat`` whatever its size, unless it is marked deep.
     assert any(node is rebuilt for node in entered) == (rebuilt._op is not tree_module._DEEP_OP)
     assert all(count_nodes(node) >= 5 for node in entered if node is not rebuilt)
+    # Below that, only a like child, merged into its parent, may be smaller.
+    assert all(size >= 5 for outer, kind, size in gathered if kind is None or kind is not outer)
+
+
+def _height(tree):
+    """Nodes on the longest path from ``tree`` down to a leaf."""
+    height, level = 0, [tree]
+    while level:
+        height += 1
+        level = [child for node in level for child in node.children]
+    return height
+
+
+def _nest(head, units):
+    """``units`` copies of ``head``, then ``x``, with every parenthesis closed."""
+    return parse_to_tree(head * units + "x" + ")" * (head.count("(") * units))
+
+
+# Nests as high as they can be with the root's child just under ``_DEEP``
+# nodes, so the whole tree is flattened by recursion: -(x*-(x*...)) takes
+# three nodes per two levels, (x+(x*(x+...))) two per level.
+_PREFIX_MINUS = _nest("-(x*", (tree_module._DEEP - 1) // 3)
+_SUM_PRODUCT = _nest("x+(x*(", (tree_module._DEEP - 2) // 4)
+
+
+@example(tree=_PREFIX_MINUS)
+@example(tree=_SUM_PRODUCT)
+@given(tree=trees())
+def test_flatten_takes_at_most_one_frame_per_level(tree):
+    depth = deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, deepest
+        if frame.f_code.co_filename == transform_module.__file__:
+            if event == "call":
+                depth += 1
+                deepest = max(deepest, depth)
+            elif event == "return":
+                depth -= 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        flatten(tree)
+    finally:
+        sys.setprofile(previous)
+    assert tree._op is not tree_module._DEEP_OP
+    # ``flatten`` and ``_flat``, then one ``_operands`` frame per level: a
+    # leaf alone takes three frames.
+    assert deepest <= _height(tree) + 2
 
 
 def _chain_leaves(node, kind, operands):
