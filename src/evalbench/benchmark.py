@@ -176,7 +176,7 @@ def _build_profile() -> str:
 def _make_sweep(
     method: EvalMethod,
     expression_id: int,
-) -> Callable[[Sequence[tuple[float, float]], Sequence[Bindings]], float]:
+) -> Callable[[Sequence[tuple[float, float]], Sequence[tuple[float, ...]]], float]:
     """A pass over given points that returns the sum of the results.
 
     Source preparation (routine lookup, tree building, flattening) happens

@@ -67,7 +67,6 @@ from .tree import (
     OpKind,
     _preorder,
     _raise_unbound,
-    as_bindings,
     count_nodes,
 )
 
@@ -146,10 +145,13 @@ BLACKBOX_FUNCTIONS: dict[int, Callable[[float, float], float]] = {
 
 
 def blackbox_lookup(fid: int) -> Callable[[float, float], float]:
-    """The compiled routine computing test function ``fid`` (1..8)."""
+    """The compiled routine computing test function ``fid`` (1..8): an
+    int, so neither ``True`` nor ``1.0``, though both equal the key 1."""
+    if not isinstance(fid, int) or isinstance(fid, bool):
+        raise UnknownFunctionIdError(fid)
     try:
         return BLACKBOX_FUNCTIONS[fid]
-    except (KeyError, TypeError):
+    except KeyError:
         raise UnknownFunctionIdError(fid) from None
 
 
@@ -287,7 +289,7 @@ nary_value.__doc__ = """Evaluate any valid tree, folding sums and products over 
     an unbound variable raises ``IndexError``."""
 
 
-def _deep_value(node: ExprNode, bindings: Bindings, walker) -> float:
+def _deep_value(node: ExprNode, bindings: tuple[float, ...], walker) -> float:
     """``walker``'s value of ``node``, a node marked ``_DEEP_OP``: a
     post-order loop, on an explicit stack, over its subtrees so marked, that
     hands every other operand to ``walker``. A marked sum or product takes
@@ -395,7 +397,7 @@ def _walk_counts(tree: ExprNode) -> tuple[int, int]:
     return entries, steps
 
 
-def _outcome(walker, tree: ExprNode, bindings: Bindings) -> EvalOutcome:
+def _outcome(walker, tree: ExprNode, bindings: tuple[float, ...]) -> EvalOutcome:
     """Run ``walker`` over ``tree``; visits are the tree's node count."""
     try:
         value = walker(tree, bindings)
@@ -437,7 +439,7 @@ def evaluate(
     only place where a fault becomes NaN: ``eval_binary`` and ``eval_nary``
     call it, and the strategies below it always raise.
     """
-    b = as_bindings(bindings)
+    b = Bindings(bindings)
     try:
         if method is _BLACKBOX:
             if not isinstance(source, int) or isinstance(source, bool):

@@ -62,7 +62,6 @@ from .tree import (
     OpKind,
     _Node,
     _raise_unbound,
-    as_bindings,
 )
 
 
@@ -422,7 +421,7 @@ def parse_to_tree(text: str, symbols: SymbolTable | None = None) -> ExprNode:
                 _Leaves(_CONSTANT).__getitem__, _TREE_ACTIONS)
 
 
-def interpret_string(text: str, symbols: SymbolTable, bindings: Bindings) -> tuple[float, int]:
+def interpret_string(text: str, symbols: SymbolTable, bindings: tuple[float, ...]) -> tuple[float, int]:
     """Directly evaluate ``text``; returns (value, tokens consumed). A domain
     fault always raises; ``evaluators.evaluate`` alone turns it into NaN."""
     lexemes = _LEXEMES(text)
@@ -442,5 +441,5 @@ def eval_string(text: str, symbols: SymbolTable | None = None, bindings=()) -> f
     """Evaluate ``text`` with no intermediate tree; re-parses on every call."""
     if symbols is None:
         symbols = DEFAULT_SYMBOLS
-    value, _ = interpret_string(text, symbols, as_bindings(bindings))
+    value, _ = interpret_string(text, symbols, Bindings(bindings))
     return value

@@ -24,9 +24,12 @@ Every construction route ends in ``_Node``, which also sets the private
 opcode ``_op`` that the evaluators' walkers dispatch on. It is derived from
 the other fields, so equality, hashing, ``repr`` and pickling ignore it.
 
-``Bindings`` is a tuple of finite floats. The walkers index it directly,
-so a variable with no value raises ``IndexError`` there; the public
-evaluation entry points turn that into ``UnboundVariableError``.
+A point is an exact ``tuple`` of finite floats, which ``Bindings`` builds
+and checks. It is a plain tuple, not a subclass, so that CPython
+specialises the walkers' reads ``bindings[i]`` to its tuple index. The
+walkers index it directly, so a variable with no value raises
+``IndexError`` there; the public evaluation entry points turn that into
+``UnboundVariableError``.
 """
 
 import enum
@@ -254,30 +257,30 @@ def make_op(kind: OpKind, children: Iterable[ExprNode], fn_name: str | None = No
     return ExprNode(kind, fn_name=fn_name, children=kids)
 
 
-class Bindings(tuple):
-    """Dense variable values: a tuple of finite floats, checked once when
-    built; position ``i`` is the value of variable ``i``. ``b[i]`` past the
-    end raises ``IndexError``, never a silent zero, and the public evaluation
-    entry points turn such a read into ``UnboundVariableError``."""
-
-    __slots__ = ()
-
-    def __new__(cls, values: Iterable[float] = ()):
-        vals = tuple.__new__(cls, map(float, values))
-        if not all(map(math.isfinite, vals)):
-            i = next(i for i, v in enumerate(vals) if not math.isfinite(v))
-            raise NonFiniteValueError(f"binding {i} must be finite, got {vals[i]!r}")
-        return vals
-
-    def __repr__(self) -> str:
-        return f"Bindings({list(self)!r})"
-
-
-def as_bindings(values) -> Bindings:
-    """Coerce a plain sequence into Bindings; pass Bindings through."""
-    if isinstance(values, Bindings):
-        return values
-    return Bindings(values)
+def Bindings(values: Iterable[float] = ()) -> tuple[float, ...]:
+    """Variable values as an exact tuple of finite floats: position ``i``
+    is the value of variable ``i``. An exact tuple of exact, finite floats
+    is returned as it is, after one pass, which is all that the evaluation
+    entry points, calling this on every point, spend on one built here.
+    Anything else is converted item by item with ``float``; a value that is
+    not finite, or too large for ``float`` (it rounds to an infinity),
+    raises ``NonFiniteValueError`` naming the first such index."""
+    if type(values) is tuple:
+        for v in values:
+            if type(v) is not float or not math.isfinite(v):
+                break
+        else:
+            return values
+    point = []
+    for i, v in enumerate(values):
+        try:
+            v = float(v)
+        except OverflowError:
+            v = -math.inf if v < 0 else math.inf
+        if not math.isfinite(v):
+            raise NonFiniteValueError(f"binding {i} must be finite, got {v!r}")
+        point.append(v)
+    return tuple(point)
 
 
 def _raise_unbound(indices: Iterable[int | None], bound: int) -> None:

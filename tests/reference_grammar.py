@@ -25,7 +25,7 @@ from evalbench.parser import (
     _value_call,
     tokenize,
 )
-from evalbench.tree import UNARY_FUNCTIONS, Bindings, ExprNode, OpKind, _raise_unbound
+from evalbench.tree import UNARY_FUNCTIONS, ExprNode, OpKind, _raise_unbound
 
 # Operator-stack entries are (precedence, action) pairs. An incoming binary
 # operator first reduces every entry whose precedence reaches its threshold.
@@ -178,7 +178,7 @@ def parse_to_tree(text: str, symbols: SymbolTable | None = None) -> ExprNode:
     return _run(tokenize(text), symbols, _Leaves(OpKind.VARIABLE).__getitem__, _TREE_ACTIONS)
 
 
-def interpret_string(text: str, symbols: SymbolTable, bindings: Bindings) -> tuple[float, int]:
+def interpret_string(text: str, symbols: SymbolTable, bindings: tuple[float, ...]) -> tuple[float, int]:
     """Directly evaluate ``text``; returns (value, tokens consumed)."""
     tokens = tokenize(text)
     try:

@@ -46,7 +46,7 @@ def test_blackbox_lookup_values():
     assert blackbox_lookup(2)(0.2, 0.3) == 0.5
 
 
-@pytest.mark.parametrize("bad", [0, 9, -1, "1", None])
+@pytest.mark.parametrize("bad", [0, 9, -1, "1", None, True, 1.0])
 def test_blackbox_lookup_unknown_id(bad):
     with pytest.raises(UnknownFunctionIdError):
         blackbox_lookup(bad)

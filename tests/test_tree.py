@@ -27,6 +27,7 @@ from evalbench import (
     make_variable,
     parse_to_tree,
 )
+import evalbench.evaluators as evaluators
 import evalbench.tree as tree_module
 from evalbench.tree import _DEEP_OP, _PRODUCT_FOLD, _SUM_FOLD, _preorder
 from strategies import handbuilt_binary_tree, handbuilt_nary_tree, random_tree, to_source, trees
@@ -413,7 +414,7 @@ def test_bindings_lookup_and_validation():
     assert list(b) == [0.5, 0.25]
     assert b == Bindings([0.5, 0.25])
     assert isinstance(b, tuple) and b == (0.5, 0.25) and hash(b) == hash((0.5, 0.25))
-    assert repr(b) == "Bindings([0.5, 0.25])"
+    assert repr(b) == "(0.5, 0.25)"
     assert Bindings((1, "2")) == (1.0, 2.0)
     with pytest.raises(IndexError):
         b[2]
@@ -429,6 +430,10 @@ def test_bindings_lookup_and_validation():
         ((1.0, math.nan, math.inf), "binding 1 must be finite, got nan"),
         ([math.inf], "binding 0 must be finite, got inf"),
         ((0, 1, "-inf"), "binding 2 must be finite, got -inf"),
+        ((10**400, 0.5), "binding 0 must be finite, got inf"),
+        ([0.5, -10**400], "binding 1 must be finite, got -inf"),
+        ((0.5, math.inf, math.nan), "binding 1 must be finite, got inf"),
+        ((0.5, 0.25, math.nan), "binding 2 must be finite, got nan"),
     ],
 )
 def test_bindings_names_first_non_finite_index(values, message):
@@ -439,6 +444,46 @@ def test_bindings_names_first_non_finite_index(values, message):
 
 def test_bindings_empty():
     b = Bindings()
-    assert len(b) == 0 and b == () and repr(b) == "Bindings([])"
+    assert len(b) == 0 and b == () and repr(b) == "()"
     with pytest.raises(IndexError):
         b[0]
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(0.5, 0.25), [0.5, 0.25], (1, 0.25), (True, 0.25), ("0.5", "0.25"), (_Float(0.5), 0.25),
+     iter((0.5, 0.25)), (), []],
+    ids=["float-tuple", "list", "int", "bool", "str", "float-subclass", "iterator", "empty-tuple", "empty-list"],
+)
+def test_bindings_is_an_exact_tuple_of_exact_floats(values):
+    b = Bindings(values)
+    assert type(b) is tuple
+    assert all(type(v) is float for v in b)
+
+
+def test_bindings_returns_an_exact_float_tuple_as_it_is():
+    t = (0.5, -0.0, 1e300)
+    assert Bindings(t) is t
+    b = Bindings([True, _Float(0.5), 2])
+    assert b == (1.0, 0.5, 2.0) and [type(v) for v in b] == [float, float, float]
+    assert math.copysign(1.0, Bindings([-0.0])[0]) == -1.0
+    assert math.copysign(1.0, Bindings((-0.0,))[0]) == -1.0
+
+
+def test_evaluate_hands_the_walker_an_exact_tuple(monkeypatch):
+    seen = []
+    walker = evaluators.binary_value
+
+    def spy(tree, bindings):
+        seen.append(bindings)
+        return walker(tree, bindings)
+
+    monkeypatch.setattr(evaluators, "binary_value", spy)
+    tree = parse_to_tree("x*y")
+    assert evaluators.evaluate(evaluators.EvalMethod.BINARY_TREE, tree, [0.5, 2]).value == 1.0
+    assert [type(b) for b in seen] == [tuple] and seen[0] == (0.5, 2.0)
+    assert type(seen[0][1]) is float
