@@ -17,6 +17,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import platform
 import random
 import statistics
@@ -30,7 +31,6 @@ from .errors import ClockUnavailableError, ValidationFailureError
 from .evaluators import EvalMethod, binary_value, blackbox_lookup, nary_value
 from .parser import DEFAULT_SYMBOLS, eval_string, parse_to_tree
 from .transform import flatten
-from .tree import Bindings
 
 #: The test-function suite in string form, keyed by id. The black-box
 #: registry hardwires the same eight formulas.
@@ -83,8 +83,8 @@ class BenchConfig:
             raise ValueError("n_points must be >= 1")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if not self.min_window_ms > 0:
-            raise ValueError("min_window_ms must be > 0")
+        if not 0 < self.min_window_ms < math.inf:
+            raise ValueError("min_window_ms must be > 0 and finite")
         if not (self.methods and self.expressions):
             raise ValueError("at least one method and one expression id are required")
         _check_grid(self.methods, self.expressions)
@@ -176,18 +176,20 @@ def _build_profile() -> str:
 def _make_sweep(
     method: EvalMethod,
     expression_id: int,
-) -> Callable[[Sequence[tuple[float, float]], Sequence[tuple[float, ...]]], float]:
+) -> Callable[[Sequence[tuple[float, float]]], float]:
     """A pass over given points that returns the sum of the results.
 
     Source preparation (routine lookup, tree building, flattening) happens
-    here, outside any timed region. ``run_benchmark`` times passes over the
-    whole point set; ``cross_validate`` passes one point at a time, where
-    the sum is that point's value.
+    here, outside any timed region. Every method reads ``generate_inputs``'
+    pairs as they are: ``Bindings`` returns an exact float pair unchanged.
+    ``run_benchmark`` times passes over the whole point set;
+    ``cross_validate`` passes one point at a time, where the sum is that
+    point's value.
     """
     if method is EvalMethod.BLACKBOX:
         fn = blackbox_lookup(expression_id)
 
-        def sweep(points, bindings_list) -> float:
+        def sweep(points) -> float:
             acc = 0.0
             for x, y in points:
                 acc += fn(x, y)
@@ -201,18 +203,18 @@ def _make_sweep(
         if method is EvalMethod.NARY_TREE:
             tree, walk = flatten(tree), nary_value
 
-        def sweep(points, bindings_list) -> float:
+        def sweep(points) -> float:
             acc = 0.0
-            for b in bindings_list:
+            for b in points:
                 acc += walk(tree, b)
             return acc
 
         return sweep
     if method is EvalMethod.STRING_PARSE:
 
-        def sweep(points, bindings_list) -> float:
+        def sweep(points) -> float:
             acc = 0.0
-            for b in bindings_list:
+            for b in points:
                 acc += eval_string(text, DEFAULT_SYMBOLS, b)
             return acc
 
@@ -279,12 +281,11 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     tick_s = _estimate_tick(clock)
     points = generate_inputs(cfg.n_points, cfg.seed)
     input_hash = _hash_points(points)
-    bindings_list = [Bindings(pair) for pair in points]
     min_window_s = cfg.min_window_ms / 1000.0
     prepared = []
     for method in cfg.methods:
         for expression_id in sorted(cfg.expressions):
-            sweep = partial(_make_sweep(method, expression_id), points, bindings_list)
+            sweep = partial(_make_sweep(method, expression_id), points)
             multiplier, checksum = _calibrate(sweep, clock, min_window_s, tick_s)
             prepared.append((method, expression_id, sweep, multiplier, checksum))
     # Repetitions run in rounds that time every cell once, the methods of
@@ -353,7 +354,10 @@ class ValidationReport:
 
 
 def _rel_deviation(a: float, b: float) -> float:
-    return abs(a - b) / max(1.0, abs(a), abs(b))
+    """Relative difference of two results; infinite if either is NaN or
+    infinite, so a method that returns one fails validation."""
+    dev = abs(a - b) / max(1.0, abs(a), abs(b))
+    return math.inf if math.isnan(dev) else dev
 
 
 def cross_validate(
@@ -379,7 +383,6 @@ def cross_validate(
     _check_grid(methods, ids)
     tolerance = 0.5 * 10.0 ** (-tolerance_sig_digits)
     points = generate_inputs(n_points, seed)
-    bindings_list = [Bindings(pair) for pair in points]
 
     checks = []
     for expression_id in ids:
@@ -387,14 +390,14 @@ def cross_validate(
         worst_dev = 0.0
         worst_point = None
         worst_pair = None
-        for (x, y), b in zip(points, bindings_list):
-            values = [(m, sweep(((x, y),), (b,))) for m, sweep in sweeps]
+        for point in points:
+            values = [(m, sweep((point,))) for m, sweep in sweeps]
             for i in range(len(values)):
                 for j in range(i + 1, len(values)):
                     dev = _rel_deviation(values[i][1], values[j][1])
                     if dev > worst_dev:
                         worst_dev = dev
-                        worst_point = (x, y)
+                        worst_point = point
                         worst_pair = (values[i][0], values[j][0])
         checks.append(ExpressionCheck(expression_id, worst_dev, worst_point, worst_pair))
 

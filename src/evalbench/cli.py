@@ -26,7 +26,7 @@ from .errors import (
 from .evaluators import EvalMethod, evaluate
 from .parser import SymbolTable, parse_to_tree
 from .transform import flatten
-from .tree import Bindings, format_tree, to_sexpr, variable_indices
+from .tree import format_tree, to_sexpr, variable_indices
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,8 +59,8 @@ def _nonnegative_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be > 0")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be > 0 and finite")
     return value
 
 
@@ -139,7 +139,7 @@ def cmd_eval(args) -> int:
     # Unreferenced slots are filled with 0.0 purely to keep the vector
     # dense; the reference check above proves they are never read.
     size = max(bound, default=-1) + 1
-    bindings = Bindings([bound.get(i, 0.0) for i in range(size)])
+    bindings = [bound.get(i, 0.0) for i in range(size)]
 
     method = EvalMethod(args.method)
     source = tree

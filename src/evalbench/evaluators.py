@@ -397,16 +397,6 @@ def _walk_counts(tree: ExprNode) -> tuple[int, int]:
     return entries, steps
 
 
-def _outcome(walker, tree: ExprNode, bindings: tuple[float, ...]) -> EvalOutcome:
-    """Run ``walker`` over ``tree``; visits are the tree's node count."""
-    try:
-        value = walker(tree, bindings)
-    except IndexError:
-        _raise_unbound((n.var_index for n, _ in _preorder(tree) if n.kind is _VARIABLE), len(bindings))
-        raise
-    return _new_outcome(EvalOutcome, (value, count_nodes(tree)))
-
-
 def eval_binary(tree: ExprNode, bindings, *, nan_on_fault: bool = False) -> EvalOutcome:
     """``evaluate(EvalMethod.BINARY_TREE, ...)``: evaluate a binary-form tree;
     ``visits`` is its node count. With ``nan_on_fault`` a domain fault yields
@@ -434,10 +424,12 @@ def evaluate(
     The source shape must match the method, or ``MethodSourceMismatchError``
     is raised: an int id for BLACKBOX, an ExprNode for the tree methods, an
     expression string for STRING_PARSE (``symbols`` applies only there;
-    defaults to the x,y table). With ``nan_on_fault`` a domain fault gives
-    NaN, under every method, with the method's usual ``visits``. This is the
-    only place where a fault becomes NaN: ``eval_binary`` and ``eval_nary``
-    call it, and the strategies below it always raise.
+    defaults to the x,y table). The tree methods run their walker here: a
+    variable past the point's end raises ``UnboundVariableError``, and
+    ``visits`` is the tree's node count. With ``nan_on_fault`` a domain fault
+    gives NaN, under every method, with the method's usual ``visits``. This
+    is the only place where a fault becomes NaN: ``eval_binary`` and
+    ``eval_nary`` call it, and the strategies below it always raise.
     """
     b = Bindings(bindings)
     try:
@@ -447,14 +439,15 @@ def evaluate(
             fn = blackbox_lookup(source)
             _raise_unbound((0, 1), len(b))
             return _new_outcome(EvalOutcome, (fn(b[0], b[1]), 0))
-        if method is _BINARY_TREE:
+        if method is _BINARY_TREE or method is _NARY_TREE:
             if not isinstance(source, ExprNode):
-                raise MethodSourceMismatchError(f"BINARY_TREE needs an ExprNode, got {type(source).__name__}")
-            return _outcome(binary_value, source, b)
-        if method is _NARY_TREE:
-            if not isinstance(source, ExprNode):
-                raise MethodSourceMismatchError(f"NARY_TREE needs an ExprNode, got {type(source).__name__}")
-            return _outcome(nary_value, source, b)
+                raise MethodSourceMismatchError(f"{method.name} needs an ExprNode, got {type(source).__name__}")
+            try:
+                value = (binary_value if method is _BINARY_TREE else nary_value)(source, b)
+            except IndexError:
+                _raise_unbound((n.var_index for n, _ in _preorder(source) if n.kind is _VARIABLE), len(b))
+                raise
+            return _new_outcome(EvalOutcome, (value, count_nodes(source)))
         if method is _STRING_PARSE:
             if not isinstance(source, str):
                 raise MethodSourceMismatchError(f"STRING_PARSE needs a string, got {type(source).__name__}")

@@ -17,7 +17,8 @@ shares it with the input, so flattening a flat tree returns the tree itself.
 One gatherer, ``_operands``, collects every node's flattened operands, with
 the node's own kind for a sum or product and None for the kinds that never
 merge; it rebuilds an operand it entered itself, so the recursion takes one
-frame per tree level, and the explicit-stack pass gathers by the same rule.
+frame per tree level. The root, and each unmarked node that the
+explicit-stack pass reaches, enter it as a lone operand under None.
 
 The smallest tree with something to merge, ``sum(sum(a, b), c)``, has
 ``_MERGEABLE`` (five) nodes: a sum or product of at least two children, one
@@ -50,18 +51,11 @@ def flatten(tree: ExprNode) -> ExprNode:
     nothing to merge; ``flatten(flatten(t)) is flatten(t)``. Total on valid
     trees at any depth. ``tree`` is assumed valid: a directly built
     ``ExprNode`` is not checked."""
-    return _flatten_deep(tree) if tree._op is _DEEP_OP else _flat(tree)
-
-
-def _flat(node: ExprNode) -> ExprNode:
-    """``flatten(node)`` by recursion, for a node not marked ``_DEEP_OP``:
-    it is at most ``_DEEP`` high and holds no marked node, so the recursion,
-    one frame per level, is at most ``_DEEP`` deep."""
-    kind = node.kind
-    kids = []
-    if not _operands(node.children, kind if kind is _SUM or kind is _PRODUCT else None, kids):
-        return node
-    return _Node(kind, node._arg, tuple(kids), sum(map(_size, kids), 1))
+    if tree._op is _DEEP_OP:
+        return _flatten_deep(tree)
+    out: list[ExprNode] = []
+    _operands((tree,), None, out)
+    return out[0]
 
 
 def _operands(children: tuple, kind: OpKind | None, out: list) -> bool:
@@ -90,8 +84,8 @@ def _operands(children: tuple, kind: OpKind | None, out: list) -> bool:
 
 def _flatten_deep(tree: ExprNode) -> ExprNode:
     """``flatten(tree)`` on an explicit stack, for a tree marked ``_DEEP_OP``:
-    only marked nodes are expanded, and pass 2 hands the others of at least
-    ``_MERGEABLE`` nodes to ``_flat``."""
+    only marked nodes are expanded, and pass 2 hands each of the others of
+    at least ``_MERGEABLE`` nodes to ``_operands`` as a lone operand."""
     # Pass 1, mirror preorder (each node, then its operands right to left):
     # a marked sum or product stands for its whole chain of like nodes,
     # whose operands are gathered once and counted in ``counts``.
@@ -121,7 +115,10 @@ def _flatten_deep(tree: ExprNode) -> ExprNode:
     built: list[ExprNode] = []
     for node in reversed(order):
         if node._op is not _DEEP_OP:
-            built.append(_flat(node) if node._size >= _MERGEABLE else node)
+            if node._size < _MERGEABLE:
+                built.append(node)
+            else:
+                _operands((node,), None, built)
             continue
         children = node.children
         n = counts.pop()

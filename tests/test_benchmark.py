@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -60,6 +61,7 @@ def test_generate_inputs_empty():
         {"methods": ()},
         {"expressions": (2, 2)},
         {"methods": (EvalMethod.BINARY_TREE, EvalMethod.NARY_TREE, EvalMethod.NARY_TREE)},
+        {"min_window_ms": math.inf},
     ],
 )
 def test_bench_config_validation(kwargs):
@@ -138,9 +140,17 @@ def test_cross_validate_zero_points_vacuous():
     assert report.passed
 
 
-def test_cross_validate_detects_faulty_routine(monkeypatch):
-    # test double: function 2 becomes x - y instead of x + y
-    monkeypatch.setitem(BLACKBOX_FUNCTIONS, 2, lambda x, y: x - y)
+@pytest.mark.parametrize(
+    "routine",
+    [
+        pytest.param(lambda x, y: x - y, id="x-y"),
+        pytest.param(lambda x, y: math.nan, id="nan"),
+        pytest.param(lambda x, y: math.inf, id="inf"),
+    ],
+)
+def test_cross_validate_detects_faulty_routine(monkeypatch, routine):
+    # test double: function 2 computes something other than x + y
+    monkeypatch.setitem(BLACKBOX_FUNCTIONS, 2, routine)
     with pytest.raises(ValidationFailureError) as exc:
         cross_validate(n_points=100, tolerance_sig_digits=3)
     report = exc.value.report
@@ -151,6 +161,7 @@ def test_cross_validate_detects_faulty_routine(monkeypatch):
     assert worst.expression_id == 2
     assert EvalMethod.BLACKBOX in worst.worst_pair
     assert worst.worst_point is not None
+    assert "blackbox" in str(exc.value) and str(exc.value).endswith(f"at point {worst.worst_point}")
 
 
 @pytest.mark.parametrize(

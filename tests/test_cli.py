@@ -225,6 +225,19 @@ def test_bench_rejects_zero_points(capsys):
     assert code == 1
 
 
+def test_bench_rejects_an_infinite_window_before_timing(capsys, monkeypatch):
+    import evalbench.cli as cli_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("bench started work despite a bad --min-window")
+
+    monkeypatch.setattr(cli_mod, "cross_validate", never)
+    monkeypatch.setattr(cli_mod, "run_benchmark", never)
+    code, out, err = run(capsys, "bench", "--n", "50", "--min-window", "inf")
+    assert code == 1 and out == ""
+    assert "--min-window" in err and "finite" in err
+
+
 def test_bench_clock_unavailable_exits_4(capsys, monkeypatch):
     import evalbench.cli as cli_mod
     from evalbench import ClockUnavailableError

@@ -505,7 +505,8 @@ def test_evaluate_visit_conventions():
     ],
 )
 def test_evaluate_source_mismatch(method, source):
-    with pytest.raises(MethodSourceMismatchError):
+    name = {eval_binary: "BINARY_TREE", eval_nary: "NARY_TREE"}.get(method) or method.name
+    with pytest.raises(MethodSourceMismatchError, match=f"^{name} needs "):
         if isinstance(method, EvalMethod):
             evaluate(method, source, Bindings((1.0, 1.0)))
         else:

@@ -249,8 +249,6 @@ def test_flatten_enters_no_subtree_too_small_to_merge(deep, tree):
     want = flatten(tree)
     if count_nodes(tree) < 5:
         assert want is tree
-    entered = []
-    flat = transform_module._flat
     # Per ``_operands`` call below another: the caller's kind, its own kind
     # and the size of the node whose children it gathers.
     gathered, active = [], []
@@ -269,13 +267,10 @@ def test_flatten_enters_no_subtree_too_small_to_merge(deep, tree):
         # Construction marks a node deep, so the tree is rebuilt under ``deep``.
         patch.setattr(tree_module, "_DEEP", deep)
         rebuilt = pickle.loads(pickle.dumps(tree))
-        patch.setattr(transform_module, "_flat", lambda node: entered.append(node) or flat(node))
         patch.setattr(transform_module, "_operands", gather)
         assert flatten(rebuilt) == want
-    # The root is handed to ``_flat`` whatever its size, unless it is marked deep.
-    assert any(node is rebuilt for node in entered) == (rebuilt._op is not tree_module._DEEP_OP)
-    assert all(count_nodes(node) >= 5 for node in entered if node is not rebuilt)
-    # Below that, only a like child, merged into its parent, may be smaller.
+    # Below the call that takes the root or a pass-2 node as a lone operand,
+    # only a like child, merged into its parent, may be smaller.
     assert all(size >= 5 for outer, kind, size in gathered if kind is None or kind is not outer)
 
 
@@ -322,8 +317,9 @@ def test_flatten_takes_at_most_one_frame_per_level(tree):
     finally:
         sys.setprofile(previous)
     assert tree._op is not tree_module._DEEP_OP
-    # ``flatten`` and ``_flat``, then one ``_operands`` frame per level: a
-    # leaf alone takes three frames.
+    # ``flatten`` and the ``_operands`` call that takes the root as a lone
+    # operand, then one ``_operands`` frame per level entered below it: the
+    # same bound as when the root had a frame of its own.
     assert deepest <= _height(tree) + 2
 
 
