@@ -31,19 +31,21 @@ product of small operands, however many, is folded in place. The walkers
 test no size: their last branch hands a deep node to ``_deep_value``,
 one explicit-stack post-order loop shared by both. It gives a deep sum
 or product one frame for its whole left spine of deep nodes of its kind,
-folding the spine's operands into one accumulator; it applies every
-other deep node's operator to its operands' values through the string
-evaluator's checked helpers, so a walk builds no node; and it hands
-every operand without the deep opcode back to the recursive walker. It
-keeps reading order, so values and the first fault are the same either
-way.
+folding the spine's operands into one accumulator in a loop shaped like
+the walker's own fold, which it leaves only for an operand with the deep
+opcode and resumes after it; it applies every other deep node's operator
+to its operands' values through the string evaluator's checked helpers,
+so a walk builds no node; and it hands every operand without the deep
+opcode back to the recursive walker. It keeps reading order, so values
+and the first fault are the same either way.
 
 So below ``tree._DEEP`` the n-ary form saves exactly one walker call per
 node that ``flatten`` removed. Above it, the binary form takes a deep
-spine's operands as steps of ``_deep_value``'s loop, not calls, so the
-n-ary form saves fewer calls than nodes and gains mostly by folding
-those operands in the walker's tighter loop. ``_walk_counts`` gives a
-walk's calls and steps without walking.
+spine's operands as steps of ``_deep_value``'s fold, not calls, so the
+n-ary form saves fewer calls than nodes; both walkers fold those
+operands in the same tight shape of loop, and what the n-ary form still
+saves is the spine nodes it never walks. ``_walk_counts`` gives a walk's
+calls and steps without walking.
 """
 
 import enum
@@ -296,59 +298,87 @@ def _deep_value(node: ExprNode, bindings: tuple[float, ...], walker) -> float:
     one frame for its whole left spine of marked nodes of its kind, whose
     operands, gathered in reading order by ``_spine``, fold into one
     accumulator from -0.0 or 1.0; both are exact identities, so the bits are
-    recursion's. Under ``binary_value`` every spine node must have two
-    children, checked top-down before any operand is evaluated. The other
-    kinds apply their operator to their operands' values through the string
-    evaluator's checked helpers, so a walk builds no node."""
+    recursion's. The fold is a tight loop like the walker's own: it reads a
+    leaf in place or calls ``walker``, and leaves it only for an operand
+    that is itself marked, resuming after it. Under ``binary_value`` every
+    spine node must have two children, checked top-down before any operand
+    is evaluated. The other kinds apply their operator to their operands'
+    values through the string evaluator's checked helpers, so a walk builds
+    no node."""
     binary = walker is binary_value
     # Each unfinished ancestor's node, operands, operand count, next operand
     # index and fold, laid flat: a frame object per level would keep
     # thousands of new objects alive for the garbage collector to promote
     # and rescan during a long walk.
     stack = []
-    child, node, kind, operands, n, i, acc = node, None, None, (), 0, 0, None  # node None: the caller's frame
+    child, node, operands, n, i, acc = node, None, (), 0, 0, None  # node None: the caller's frame
     while True:
-        k = child._op
-        if k is _DEEP_OP:
-            stack += node, operands, n, i, acc
-            node, kind, i = child, child.kind, 0
-            if kind is _SUM or kind is _PRODUCT:
-                operands = _spine(child, binary)
-                n = len(operands)
-                acc = -0.0 if kind is _SUM else 1.0
-            else:  # fixed arity, indexed as the walker does
-                operands = child.children
-                n = 1 if kind is _NEGATE or kind is _UNARY_FN else 2
-        else:
-            value = (bindings[child._arg] if k is _VARIABLE
-                     else child._arg if k is _CONSTANT else walker(child, bindings))
-            while True:  # fold value into node, finishing every node it completes
-                if kind is _SUM:
-                    acc += value
-                elif kind is _PRODUCT:
-                    acc *= value
-                elif i < n:
-                    acc = value  # a two-operand kind's first operand
-                elif kind is _DIFFERENCE:
-                    acc -= value
-                elif kind is _QUOTIENT:
-                    acc = _quotient(acc, value)
-                elif kind is _POWER:
-                    acc = _power(acc, value)
-                elif kind is _NEGATE:
-                    acc = -value
-                else:
-                    acc = _CHECKED_CALLS[node._arg](value)
-                if i < n:
-                    break
+        # child, operand i of node, is marked: set node aside and take up child.
+        stack += node, operands, n, i + 1, acc
+        node, kind, i = child, child.kind, 0
+        if kind is _SUM or kind is _PRODUCT:
+            operands = _spine(child, binary)
+            n = len(operands)
+            acc = -0.0 if kind is _SUM else 1.0
+        else:  # fixed arity, indexed as the walker does
+            operands = child.children
+            n = 1 if kind is _NEGATE or kind is _UNARY_FN else 2
+        while True:  # take node's operands from i up to a marked one, finishing every node completed
+            if i == n:  # node is complete: its value is its parent's next operand
                 value = acc
                 node, operands, n, i, acc = stack[-5:]
                 del stack[-5:]
                 if node is None:
                     return value
                 kind = node.kind
-        child = operands[i]
-        i += 1
+            elif kind is _SUM:
+                for i in range(i, n):
+                    child = operands[i]
+                    k = child._op
+                    if k is _DEEP_OP:
+                        break
+                    acc += (bindings[child._arg] if k is _VARIABLE
+                            else child._arg if k is _CONSTANT else walker(child, bindings))
+                else:  # node is complete
+                    i = n
+                    continue
+                break  # child, operands[i], is marked
+            elif kind is _PRODUCT:
+                for i in range(i, n):
+                    child = operands[i]
+                    k = child._op
+                    if k is _DEEP_OP:
+                        break
+                    acc *= (bindings[child._arg] if k is _VARIABLE
+                            else child._arg if k is _CONSTANT else walker(child, bindings))
+                else:  # node is complete
+                    i = n
+                    continue
+                break  # child, operands[i], is marked
+            else:
+                child = operands[i]
+                k = child._op
+                if k is _DEEP_OP:
+                    break
+                value = (bindings[child._arg] if k is _VARIABLE
+                         else child._arg if k is _CONSTANT else walker(child, bindings))
+                i += 1
+            if kind is _SUM:  # fold value, operand i - 1, into node
+                acc += value
+            elif kind is _PRODUCT:
+                acc *= value
+            elif i < n:
+                acc = value  # a two-operand kind's first operand
+            elif kind is _DIFFERENCE:
+                acc -= value
+            elif kind is _QUOTIENT:
+                acc = _quotient(acc, value)
+            elif kind is _POWER:
+                acc = _power(acc, value)
+            elif kind is _NEGATE:
+                acc = -value
+            else:
+                acc = _CHECKED_CALLS[node._arg](value)
 
 
 def _spine(node: ExprNode, binary: bool) -> list:
@@ -360,14 +390,15 @@ def _spine(node: ExprNode, binary: bool) -> list:
     operands = []  # the spine's later operands, last first
     while True:
         children = node.children
-        n = len(children)
-        if n == 2:
-            operands.append(children[1])
-        elif binary:
-            raise ArityMismatchError(kind, n, "exactly 2 (binary form)")
-        else:
+        try:
+            node, right = children
+        except ValueError:  # not two children
+            if binary:
+                raise ArityMismatchError(kind, len(children), "exactly 2 (binary form)") from None
             operands += children[:0:-1]
-        node = children[0]
+            node = children[0]
+        else:
+            operands.append(right)
         if node._op is not _DEEP_OP or node.kind is not kind:
             break
     operands.append(node)

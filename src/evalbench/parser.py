@@ -99,18 +99,19 @@ _TOKEN = (
     rf"|{_IDENTIFIER}"
     r"|[0-9]+(?![0-9])(?:\.[0-9]+(?![0-9])|(?!\.))(?:[eE][+-]?[0-9]+|(?![eE]))"
 )
-# The one scanner. A match skips whitespace (``\s`` is exactly
-# ``str.isspace``) and takes one lexeme as group 1: a token, a run of digits,
-# or else any one non-space character. The last match is the empty one at
-# the end of the text. A number the token branch cannot complete falls to
-# ``[0-9]+``, so its whole run of digits becomes the lexeme and the next
-# match starts after it: the number branch is tried once per run, not once
-# per digit, and the scan stays linear. What follows the run ("." or "e") is
-# never an operator, ")" or the end, so the loop stops there and
-# ``tokenize`` reports the bad number. The loop reads plain strings through
-# ``findall``; ``tokenize`` reads the same matches, with their positions,
-# through ``finditer``.
-_SCANNER = re.compile(rf"\s*({_TOKEN}|[0-9]+|\S)|\Z")
+# The one scanner. Each match is one lexeme: a token, a run of digits, or
+# else any one non-space character. Only whitespace matches no branch
+# (``\S`` is exactly ``not str.isspace``), so the search steps over it. The
+# last match is the empty one at the end of the text. A number the token
+# branch cannot complete falls to ``[0-9]+``, so its whole run of digits
+# becomes the lexeme and the next match starts after it: the number branch
+# is tried once per run, not once per digit, and the scan stays linear.
+# What follows the run ("." or "e") is never an operator, ")" or the end, so
+# the loop stops there and ``tokenize`` reports the bad number. The loop
+# reads plain strings through ``findall``, which makes no match objects;
+# ``tokenize`` reads the same matches, with their positions, through
+# ``finditer``.
+_SCANNER = re.compile(rf"{_TOKEN}|[0-9]+|\S|\Z")
 _LEXEMES = _SCANNER.findall
 # A number that cannot be completed, from its first digit up to and
 # including the "." or exponent marker where it fails. A complete number of
@@ -171,10 +172,10 @@ def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
     for match in _SCANNER.finditer(text):
-        lexeme = match[1]
-        if lexeme is None:  # the empty match at the end
+        lexeme = match[0]
+        if not lexeme:  # the empty match at the end
             break
-        position = match.start(1)
+        position = match.start()
         tag = _LEAD.get(lexeme[0])
         if tag is TokenTag.IDENT:
             append(_new_token(Token, (tag, position, None, lexeme)))

@@ -368,18 +368,19 @@ def _sum_of_nested_sin(depths):
 
 
 _DEEP_LINES, _DEEP_START = inspect.getsourcelines(evaluators_module._deep_value)
-# The line of ``_deep_value`` that takes each gathered operand: one step.
-_STEP_LINE = _DEEP_START + next(i for i, line in enumerate(_DEEP_LINES) if line.strip() == "child = operands[i]")
+# The lines of ``_deep_value`` that take a gathered operand, in a spine's
+# fold or in the general step: each run of one is one step.
+_STEP_LINES = {_DEEP_START + i for i, line in enumerate(_DEEP_LINES) if line.strip() == "child = operands[i]"}
 
 
 def _traced_walk(walker, tree, b):
     """(entries into the code object both walkers share, runs of
-    ``_deep_value``'s step line) in ``walker(tree, b)``."""
+    ``_deep_value``'s step lines) in ``walker(tree, b)``."""
     walk_code, deep_code = binary_value.__code__, evaluators_module._deep_value.__code__
     counts = [0, 0]
 
     def step(frame, event, arg):
-        if event == "line" and frame.f_lineno == _STEP_LINE:
+        if event == "line" and frame.f_lineno in _STEP_LINES:
             counts[1] += 1
         return step
 
@@ -417,6 +418,60 @@ def test_walk_counts_match_the_walkers(deep, tree, b):
         (binary, _), _, (nary, _) = traced
         assert binary - nary == count_nodes(tree) - count_nodes(flat)
         assert [steps for _, steps in traced] == [0, 0, 0]
+
+
+def _marked(deep, inner="y"):
+    """An operand whose top node is marked under ``_DEEP`` = ``deep``:
+    ``deep`` nested sines over ``inner``."""
+    return "sin(" * deep + inner + ")" * deep
+
+
+# A spine's fold leaves its loop for a marked operand and resumes after it:
+# here in the middle of the spine and at its end, first with no fault, then
+# with a fault inside the middle operand, then in the plain term after it;
+# either way a later fault in the last operand must not be the one raised.
+@pytest.mark.parametrize("deep", [3, 300])
+@pytest.mark.parametrize("op", ["+", "*"])
+@pytest.mark.parametrize("middle, after, last, fault", [
+    ("y", (), "y", None),
+    ("log(x-x)", (), "y/(x-x)", "log"),
+    ("y", ("log(0)",), "y/(x-x)", "log"),
+], ids=["values", "fault-in-marked-operand", "fault-after-marked-operand"])
+def test_a_spine_resumes_after_each_marked_operand(deep, op, middle, after, last, fault):
+    terms = ["-x" if op == "+" else "x"] * deep
+    text = op.join(terms + [_marked(deep, middle), *after] + terms + [_marked(deep, last)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree_module, "_DEEP", deep)
+        tree = parse_to_tree(text)
+        flat = flatten(tree)
+        marked = [operand._op is tree_module._DEEP_OP for operand in evaluators_module._spine(tree, True)]
+        assert marked.count(True) == 2 and marked[-1] and not marked[0]
+        assert flat._op is tree_module._DEEP_OP
+        for b in (Bindings((-0.0, 0.0)), Bindings((0.0, -0.0)), Bindings((0.5, -0.25)), Bindings((-1.5, 2.0))):
+            want = _walk_result(binary_value, tree, b)
+            assert _walk_result(nary_value, tree, b) == want
+            assert _walk_result(nary_value, flat, b) == want
+            assert _walk_result(lambda text, b: eval_string(text, bindings=b), text, b) == want
+            assert (want[0] if isinstance(want, tuple) else None) == fault
+
+
+@pytest.mark.parametrize("deep", [3, 300])
+@pytest.mark.parametrize("op, kind", [("+", OpKind.SUM), ("*", OpKind.PRODUCT)])
+def test_binary_walk_checks_a_whole_spine_before_evaluating_it(deep, op, kind):
+    b = Bindings((0.5, 0.25))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree_module, "_DEEP", deep)
+        low = parse_to_tree(op.join(["log(0)"] + ["x"] * deep))  # a marked spine whose first operand faults
+        marked = parse_to_tree(_marked(deep))
+        three = make_op(kind, (low, make_variable(1), marked))
+        tree = make_op(kind, (make_op(kind, (three, make_variable(0))), marked))
+        assert all(node._op is tree_module._DEEP_OP for node in (low, three, tree))
+        with pytest.raises(ArityMismatchError) as info:
+            binary_value(tree, b)
+        assert info.value.kind is kind and info.value.got == 3
+        with pytest.raises(DomainFaultError) as fault:
+            nary_value(tree, b)
+        assert fault.value.op == "log"
 
 
 @pytest.mark.parametrize(

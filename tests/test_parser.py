@@ -299,6 +299,13 @@ _LEXER_EDGE_CHARACTERS = list("0123456789.eE+-*/^()xy_ \t\n") + [
 ]
 
 
+_LEXER_TEXTS = (
+    st.text(max_size=40)
+    | st.text(alphabet=st.sampled_from(_LEXER_EDGE_CHARACTERS) | st.characters(), max_size=40)
+    | st.text(alphabet="0123456789.eE+-x ", max_size=20)
+)
+
+
 def _scan_outcome(scan, text):
     try:
         return [tuple(tok) for tok in scan(text)]
@@ -326,13 +333,26 @@ def _scan_outcome(scan, text):
 @example(text="12.5e+")
 @example(text="99..1")
 @example(text="10e5e")
-@given(
-    text=st.text(max_size=40)
-    | st.text(alphabet=st.sampled_from(_LEXER_EDGE_CHARACTERS) | st.characters(), max_size=40)
-    | st.text(alphabet="0123456789.eE+-x ", max_size=20)
-)
+@given(text=_LEXER_TEXTS)
 def test_tokenize_matches_reference_lexer(text):
     assert _scan_outcome(tokenize, text) == _scan_outcome(reference_lexer.tokenize, text)
+
+
+@given(text=_LEXER_TEXTS)
+def test_loop_lexemes_match_tokenize(text):
+    # The grammar loop reads the scanner's lexemes, and every error it
+    # raises takes its position from ``tokenize``: lexeme i must be token i.
+    try:
+        tokens = tokenize(text)
+    except ParseError:
+        return
+    lexemes = parser_module._LEXEMES(text)
+    assert len(lexemes) == len(tokens) and lexemes[-1] == ""
+    end = 0
+    for lexeme, tok in zip(lexemes, tokens):
+        assert not text[end:tok.position].strip()  # only whitespace between lexemes
+        assert text.startswith(lexeme, tok.position)
+        end = tok.position + len(lexeme)
 
 
 @pytest.mark.parametrize(
