@@ -6,10 +6,11 @@
     python3 scripts/bench_pairs.py --workload paper-suite --workload fresh-exprs --json BENCH.json
 
 Both sides run from copies made the same way, in sibling directories of one
-temporary directory, removed again at the end: the base revision (default
-HEAD, so the uncommitted change is measured) is extracted with ``git
-archive``, and the working tree's files (tracked and untracked, less the
-ignored ones) are packed into a tar and unpacked likewise. The repository's
+temporary directory, ``before`` and ``change`` (names of one length),
+removed again at the end: the base revision (default HEAD, so the
+uncommitted change is measured) is extracted with ``git archive``, and the
+working tree's files (tracked and untracked, less the ignored ones) are
+packed into a tar and unpacked likewise. The repository's
 ``.git`` is not written to. ``--workload`` may be given more than once: the
 workloads run one after another against those two copies, and each gets its
 own table when its pairs are done. Each pair runs ``perfbench/run.py
@@ -36,6 +37,11 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+
+# Each side's copy, by a directory name of the same length, so that the two
+# copies' paths, and what perfbench derives from them, are the same size.
+_COPIES = {"base": "before", "change": "change"}
 
 
 def run_once(checkout: Path, side: str, workload: str, seed: int, seconds: float, pair: int) -> dict:
@@ -162,7 +168,7 @@ def main(argv=None) -> int:
             for name in files:
                 if name and (root / name).exists():  # a file deleted but not yet staged is left out
                     tar.add(root / name, arcname=name, recursive=False)
-        sides = {side: unpack(tmp / f"{side}.tar", tmp / side) for side in ("base", "change")}
+        sides = {side: unpack(tmp / f"{side}.tar", tmp / name) for side, name in _COPIES.items()}
         for workload in args.workload:
             runs: dict[str, list[dict]] = {"base": [], "change": []}
             for i in range(args.pairs):

@@ -30,9 +30,14 @@ is complete, so a domain fault and a parse error in one text are met in the
 order a left-to-right reading meets them.
 
 The loop reads the bare lexeme strings of one regex scan, whitespace
-skipped and an empty string at the end: one dict lookup per lexeme picks
-its action, and names and numbers are told apart by their first character.
-It builds no ``Token`` and tracks no positions. ``tokenize`` reads the
+skipped and an empty string at the end. An operand is looked up in the
+variable table first, as variables are the most common operand, and read
+by subscript: the point tuple itself on the value path, the parse's leaf
+map on the tree path, so a short point raises ``IndexError``. Any other
+operand is told by its first character, and an operator's action is one
+dict lookup. ``eval_string`` scans and runs the loop in its own frame;
+``interpret_string`` also returns the token count, for ``evaluate``. The
+loop builds no ``Token`` and tracks no positions. ``tokenize`` reads the
 matches of that same scan, so its token ``i`` is the loop's lexeme ``i``.
 Errors are rare, so every error exit, and every domain fault or unbound
 variable on the way out, first runs ``tokenize`` over the whole text: a
@@ -211,6 +216,7 @@ _IDENT, _NUMBER, _MINUS, _LPAREN = TokenTag.IDENT, TokenTag.NUMBER, TokenTag.MIN
 _CONSTANT, _VARIABLE, _NEGATE, _UNARY_FN = OpKind.CONSTANT, OpKind.VARIABLE, OpKind.NEGATE, OpKind.UNARY_FN
 _TOP = (-1, None)
 _PAREN = (0, None)
+_CLOSE = (1, None)  # ")", the end or a stray lexeme in operator position
 _NEGATE_PRECEDENCE = 3
 _INF = math.inf
 
@@ -344,52 +350,52 @@ def _unknown_name(text: str, i: int, what: str, name: str):
 
 def _run(lexemes: list[str], text: str, symbols: SymbolTable, variable, constant, actions: _Actions):
     """Parse ``text``, scanned into ``lexemes``, with ``actions``; returns
-    the one remaining operand.
-
-    ``variable`` maps a variable index, and ``constant`` a literal's float
-    value, to its operand.
-    """
+    the one remaining operand. An atom's operand is ``variable[index]`` or
+    ``constant(value)``, from a literal's float value."""
     negate, binary, calls = actions
     indices = symbols._indices
     operands = []
+    append = operands.append
     stack = [_TOP]
     i = 0
     while True:
         # Operand position: any prefix "-", "(" or "name(", then one atom.
         lexeme = lexemes[i]
         i += 1
-        lead = _LEAD.get(lexeme[:1])
-        if lead is _IDENT:
+        index = indices.get(lexeme)
+        if index is not None:  # no variable is named like a function
             if lexemes[i] == "(":
+                _unknown_name(text, i - 1, "function", lexeme)
+            append(variable[index])
+        else:
+            lead = _LEAD.get(lexeme[:1])
+            if lead is _IDENT:
+                if lexemes[i] != "(":
+                    _unknown_name(text, i - 1, "variable", lexeme)
                 call = calls.get(lexeme)
                 if call is None:
                     _unknown_name(text, i - 1, "function", lexeme)
                 stack.append(call)
                 i += 1
                 continue
-            index = indices.get(lexeme)
-            if index is None:
-                _unknown_name(text, i - 1, "variable", lexeme)
-            operands.append(variable(index))
-        elif lead is _NUMBER:
-            value = float(lexeme)
-            if value == _INF:
-                tokenize(text)  # raises: the literal overflows a float
-            operands.append(constant(value))
-        elif lead is _MINUS:
-            stack.append(negate)
-            continue
-        elif lead is _LPAREN:
-            stack.append(_PAREN)
-            continue
-        else:
-            _missing_operand(text, i - 1, stack)
+            if lead is _NUMBER:
+                value = float(lexeme)
+                if value == _INF:
+                    tokenize(text)  # raises: the literal overflows a float
+                append(constant(value))
+            elif lead is _MINUS:
+                stack.append(negate)
+                continue
+            elif lead is _LPAREN:
+                stack.append(_PAREN)
+                continue
+            else:
+                _missing_operand(text, i - 1, stack)
         # Operator position: close groups until a binary operator or the end.
         while True:
             lexeme = lexemes[i]
             i += 1
-            op = binary.get(lexeme)
-            threshold = 1 if op is None else op[0]
+            threshold, entry = binary.get(lexeme, _CLOSE)
             top = stack[-1]
             while top[0] >= threshold:
                 del stack[-1]
@@ -399,8 +405,8 @@ def _run(lexemes: list[str], text: str, symbols: SymbolTable, variable, constant
                     right = operands.pop()
                     operands[-1] = top[1](operands[-1], right)
                 top = stack[-1]
-            if op is not None:
-                stack.append(op[1])
+            if entry is not None:
+                stack.append(entry)
                 break
             # ")", the end or a stray lexeme: the innermost group is complete.
             if top is _TOP:
@@ -418,8 +424,19 @@ def parse_to_tree(text: str, symbols: SymbolTable | None = None) -> ExprNode:
     """Parse ``text`` into a binary-form expression tree."""
     if symbols is None:
         symbols = DEFAULT_SYMBOLS
-    return _run(_LEXEMES(text), text, symbols, _Leaves(_VARIABLE).__getitem__,
-                _Leaves(_CONSTANT).__getitem__, _TREE_ACTIONS)
+    return _run(_LEXEMES(text), text, symbols, _Leaves(_VARIABLE), _Leaves(_CONSTANT).__getitem__,
+                _TREE_ACTIONS)
+
+
+def _value_error(err: Exception, text: str, symbols: SymbolTable, lexemes: list[str], bound: int):
+    """Raise what the value path raises after ``_run`` raised ``err`` on a
+    point of ``bound`` values: a lexical error anywhere in the text first,
+    then, for a short point, the first unbound variable, then ``err``."""
+    tokenize(text)
+    if isinstance(err, IndexError):
+        # Variables are read in lexeme order; no variable is named like a function.
+        _raise_unbound(map(symbols.variable_index, lexemes), bound)
+    raise err
 
 
 def interpret_string(text: str, symbols: SymbolTable, bindings: tuple[float, ...]) -> tuple[float, int]:
@@ -427,20 +444,18 @@ def interpret_string(text: str, symbols: SymbolTable, bindings: tuple[float, ...
     fault always raises; ``evaluators.evaluate`` alone turns it into NaN."""
     lexemes = _LEXEMES(text)
     try:
-        return _run(lexemes, text, symbols, bindings.__getitem__, float, _VALUE_ACTIONS), len(lexemes)
-    except DomainFaultError:
-        tokenize(text)  # a lexical error anywhere in the text comes first
-        raise
-    except IndexError:
-        tokenize(text)
-        # Variables are read in lexeme order; no variable is named like a function.
-        _raise_unbound(map(symbols.variable_index, lexemes), len(bindings))
-        raise
+        return _run(lexemes, text, symbols, bindings, float, _VALUE_ACTIONS), len(lexemes)
+    except (DomainFaultError, IndexError) as err:
+        _value_error(err, text, symbols, lexemes, len(bindings))
 
 
 def eval_string(text: str, symbols: SymbolTable | None = None, bindings=()) -> float:
     """Evaluate ``text`` with no intermediate tree; re-parses on every call."""
     if symbols is None:
         symbols = DEFAULT_SYMBOLS
-    value, _ = interpret_string(text, symbols, Bindings(bindings))
-    return value
+    point = Bindings(bindings)
+    lexemes = _LEXEMES(text)
+    try:
+        return _run(lexemes, text, symbols, point, float, _VALUE_ACTIONS)
+    except (DomainFaultError, IndexError) as err:
+        _value_error(err, text, symbols, lexemes, len(point))

@@ -3,10 +3,12 @@
 Each test prints one pass/fail line; run with -s (or -v) to see them.
 """
 
+import importlib.util
 import math
 import random
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +31,15 @@ from evalbench import (
 )
 from evalbench.benchmark import EXPRESSIONS
 from evalbench.cli import main as cli_main
+from evalbench.evaluators import _walk_counts
 from strategies import has_like_chain, random_bindings, random_tree
+
+
+_spec = importlib.util.spec_from_file_location(
+    "opcount", Path(__file__).resolve().parent.parent / "scripts" / "opcount.py"
+)
+opcount = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(opcount)
 
 
 @contextmanager
@@ -85,6 +95,18 @@ def test_criterion_2_corrected_timing_ordering(default_report):
             m.value for m in sorted(agg, key=agg.get)
         )
         print(f"  aggregate ordering: {ordering}", end=" ")
+
+
+def test_criterion_2_instruction_count_ordering():
+    label = "criterion 2 in bytecode instructions: blackbox < nary <= binary < string on each expression"
+    with verdict(label):
+        # Counts differ between CPython versions, so only their order is checked.
+        for eid, cells in opcount.cell_counts().items():
+            assert cells["blackbox"] < cells["nary"] <= cells["binary"] < cells["string"], (eid, cells)
+            # The n-ary walk is shorter exactly where flatten saved walker entries or steps.
+            tree = parse_to_tree(EXPRESSIONS[eid])
+            saved = _walk_counts(flatten(tree)) != _walk_counts(tree)
+            assert (cells["nary"] < cells["binary"]) == saved, (eid, cells)
 
 
 def test_criterion_3_flatten_equivalence_oracle():

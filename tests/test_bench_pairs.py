@@ -73,5 +73,7 @@ def test_runs_both_sides_from_copies_and_appends_a_record_per_table(tmp_path, mo
     # Each run's two sides are sibling copies, outside the repository, removed at the end.
     parents = {checkout.parent for _, checkout in ran}
     assert len(parents) == 2
-    assert {(side, checkout.name) for side, checkout in ran} == {("base", "base"), ("change", "change")}
+    assert {(side, checkout.name) for side, checkout in ran} == {("base", "before"), ("change", "change")}
+    # The two copies' paths have one length.
+    assert len({len(str(checkout)) for _, checkout in ran}) == 1
     assert not any(ROOT in parent.parents or parent.exists() for parent in parents)

@@ -466,6 +466,12 @@ def test_faulting_string_is_tokenized_once(monkeypatch):
     outcome = evaluate(EvalMethod.STRING_PARSE, "log(x-x)+y", Bindings((0.5, 2.0)), nan_on_fault=True)
     assert math.isnan(outcome.value) and outcome.visits == len(tokenize("log(x-x)+y"))
     assert calls == ["log(x-x)+y"]
+    with pytest.raises(DomainFaultError):
+        eval_string("log(x-x)+y", None, (0.5, 2.0))
+    assert calls == ["log(x-x)+y"] * 2
+    with pytest.raises(UnboundVariableError):
+        eval_string("x+y", None, (0.5,))
+    assert calls == ["log(x-x)+y"] * 2 + ["x+y"]
 
 
 # Texts for the differential test against the Token-based grammar loop:
@@ -511,6 +517,8 @@ def _outcome(run):
         return "UnboundVariableError", err.index
     if isinstance(got, tuple):  # (value, tokens consumed): compare the value's bits
         return float.hex(got[0]), got[1]
+    if isinstance(got, float):
+        return float.hex(got)
     return got
 
 
@@ -523,6 +531,10 @@ def test_lexeme_loop_matches_token_loop(text, values):
     )
     assert _outcome(lambda: interpret_string(text, _XYZ, b)) == _outcome(
         lambda: reference_grammar.interpret_string(text, _XYZ, b)
+    )
+    # eval_string runs the loop itself, with its own error exit.
+    assert _outcome(lambda: eval_string(text, _XYZ, b)) == _outcome(
+        lambda: reference_grammar.interpret_string(text, _XYZ, b)[0]
     )
 
 
