@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Bytecode instructions per evaluation on the paper suite, base against working tree.
+"""Bytecode instructions per evaluation and per parse on the paper suite, base against working tree.
 
     python3 scripts/opcount.py                 # base HEAD, so the uncommitted change is counted
     python3 scripts/opcount.py --base HEAD~1
@@ -9,9 +9,10 @@ the bytecode instructions that one evaluation at the point (0.3, 0.7)
 executes, with ``sys.settrace`` and ``frame.f_trace_opcodes``: black-box
 (the routine itself), n-ary (``nary_value`` on the flattened tree), binary
 (``binary_value`` on the parsed tree) and string (``eval_string`` on the
-text). Work done in C (``math``, the regex scan, allocation) is not
-counted, so a count is a witness of the Python-level path, not a time; it
-is exact and repeats, where timings drift. The base revision is extracted
+text). The last column counts one ``parse_to_tree`` of the text. Work done
+in C (``math``, the regex scan, allocation) is not counted, so a count is a
+witness of the Python-level path, not a time; it is exact and repeats,
+where timings drift. The base revision is extracted
 with ``git archive`` into a temporary directory, and each side is counted
 in its own interpreter. The table gives both sides' counts and the change.
 """
@@ -25,6 +26,7 @@ import tempfile
 from pathlib import Path
 
 METHODS = ("blackbox", "nary", "binary", "string")
+COLUMNS = METHODS + ("parse",)
 POINT = (0.3, 0.7)
 
 
@@ -52,8 +54,8 @@ def opcodes(fn, *args) -> int:
 
 
 def cell_counts() -> dict[int, dict[str, int]]:
-    """Per paper expression, instructions per evaluation of each method,
-    for the ``evalbench`` on ``sys.path``."""
+    """Per paper expression, instructions per evaluation of each method and
+    per ``parse_to_tree``, for the ``evalbench`` on ``sys.path``."""
     from evalbench import Bindings, blackbox_lookup, eval_string, flatten, parse_to_tree
     from evalbench.benchmark import EXPRESSIONS
     from evalbench.evaluators import binary_value, nary_value
@@ -67,6 +69,7 @@ def cell_counts() -> dict[int, dict[str, int]]:
             "nary": opcodes(nary_value, flatten(tree), b),
             "binary": opcodes(binary_value, tree, b),
             "string": opcodes(eval_string, text, None, b),
+            "parse": opcodes(parse_to_tree, text),
         }
     return counts
 
@@ -96,11 +99,11 @@ def main(argv=None) -> int:
         base = counted(Path(tmp) / "src")
     change = counted(root / "src")
 
-    print(f"instructions per evaluation at {POINT}, base {args.base} -> working tree")
-    print(f"{'expr':6}" + "".join(f"{m:>22}" for m in METHODS))
+    print(f"instructions per evaluation at {POINT} and per parse, base {args.base} -> working tree")
+    print(f"{'expr':6}" + "".join(f"{m:>22}" for m in COLUMNS))
     for eid in sorted(change):
         cells = "".join(f"{f'{base[eid][m]} -> {change[eid][m]} ({change[eid][m] - base[eid][m]:+d})':>22}"
-                        for m in METHODS)
+                        for m in COLUMNS)
         print(f"e{eid:<5}{cells}")
     return 0
 

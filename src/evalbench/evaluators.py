@@ -172,10 +172,10 @@ _new_outcome = tuple.__new__  # EvalOutcome from a 2-tuple, skipping its Python 
 
 
 def _walker(folds: bool):
-    """The recursive walker over ``tree._Node._op``; it folds the sums and
-    products that ``flatten`` merged if ``folds``, and raises
-    ``ArityMismatchError`` on them if not. Each operand that is a leaf is
-    read in place, not walked. Fixed-arity operands are indexed, so a node
+    """The recursive walker over the opcode ``_op`` (see ``tree._Node``);
+    it folds the sums and products that ``flatten`` merged if ``folds``, and
+    raises ``ArityMismatchError`` on them if not. Each operand that is a
+    leaf is read in place, not walked. Fixed-arity operands are indexed, so a node
     built directly with too few children raises ``IndexError``."""
 
     def walk(node, bindings):

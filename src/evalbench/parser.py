@@ -32,10 +32,10 @@ order a left-to-right reading meets them.
 The loop reads the bare lexeme strings of one regex scan, whitespace
 skipped and an empty string at the end. An operand is looked up in the
 variable table first, as variables are the most common operand, and read
-by subscript: the point tuple itself on the value path, the parse's leaf
-map on the tree path, so a short point raises ``IndexError``. Any other
-operand is told by its first character, and an operator's action is one
-dict lookup. ``eval_string`` scans and runs the loop in its own frame;
+by subscript: the point tuple itself on the value path, so a short point
+raises ``IndexError``, and the symbol table's leaves on the tree path. Any
+other operand is told by its first character, and an operator's action is
+one dict lookup. ``eval_string`` scans and runs the loop in its own frame;
 ``interpret_string`` also returns the token count, for ``evaluate``. The
 loop builds no ``Token`` and tracks no positions. ``tokenize`` reads the
 matches of that same scan, so its token ``i`` is the loop's lexeme ``i``.
@@ -44,12 +44,12 @@ variable on the way out, first runs ``tokenize`` over the whole text: a
 lexical error anywhere in the text wins, as if the text had been tokenized
 first, and otherwise the failing lexeme's ``Token`` gives the error its
 position. ``tokenize`` stays public API; a ``Token`` is a named tuple,
-built straight from a plain tuple. The tree actions make their nodes
-with the unchecked ``tree._Node``, passing the node counts they already
-know (the ``tree`` docstring says why that is safe). Within one parse they
-reuse one leaf per variable index and one leaf per distinct constant value,
-so a tree may share its leaves; nodes are immutable, so sharing changes no
-value, equality, hash or node count.
+built straight from a plain tuple. The tree actions build their nodes
+through ``tree._Node``, passing the node counts they already know (the
+``tree`` docstring gives its rule). A symbol table holds one leaf per
+variable, shared by every tree parsed with it, and one parse makes one
+leaf per distinct constant value, so trees may share their leaves; nodes
+are immutable, so sharing changes no value, equality, hash or node count.
 """
 
 import enum
@@ -135,10 +135,11 @@ class SymbolTable:
     Variable indices are the positions in the name sequence, so they are
     unique and contiguous from 0. The default table maps x->0, y->1. The
     function names are the keys of ``tree.UNARY_FUNCTIONS``, and no
-    variable may take one.
+    variable may take one. ``_leaves`` holds each variable's leaf, by index,
+    for every tree parsed with the table.
     """
 
-    __slots__ = ("_names", "_indices")
+    __slots__ = ("_names", "_indices", "_leaves")
 
     def __init__(self, variables=("x", "y")):
         names = tuple(variables)
@@ -153,6 +154,7 @@ class SymbolTable:
             seen.add(name)
         self._names = names
         self._indices = {name: i for i, name in enumerate(names)}
+        self._leaves = tuple(_Node(OpKind.VARIABLE, i, (), 1) for i in range(len(names)))
 
     @property
     def variable_names(self) -> tuple[str, ...]:
@@ -213,7 +215,7 @@ def tokenize(text: str) -> list[Token]:
 _IDENT, _NUMBER, _MINUS, _LPAREN = TokenTag.IDENT, TokenTag.NUMBER, TokenTag.MINUS, TokenTag.LPAREN
 # The kinds the tree actions name per node, bound once: an enum member
 # lookup costs a Python-level attribute access each time.
-_CONSTANT, _VARIABLE, _NEGATE, _UNARY_FN = OpKind.CONSTANT, OpKind.VARIABLE, OpKind.NEGATE, OpKind.UNARY_FN
+_CONSTANT, _NEGATE, _UNARY_FN = OpKind.CONSTANT, OpKind.NEGATE, OpKind.UNARY_FN
 _TOP = (-1, None)
 _PAREN = (0, None)
 _CLOSE = (1, None)  # ")", the end or a stray lexeme in operator position
@@ -293,19 +295,15 @@ _VALUE_ACTIONS = _Actions(
 )
 
 
-class _Leaves(dict):
-    """Payload -> this parse's leaf of ``kind`` holding it, made on first use.
-    Constants are keyed by their float value: a literal is finite and
-    non-negative, so no key is NaN or -0.0, and equal keys are the same
-    float."""
+class _Constants(dict):
+    """Literal value -> this parse's constant leaf holding it, made on first
+    use. A literal is finite and non-negative, so no key is NaN or -0.0, and
+    equal keys are the same float."""
 
-    __slots__ = ("kind",)
+    __slots__ = ()
 
-    def __init__(self, kind: OpKind):
-        self.kind = kind
-
-    def __missing__(self, arg) -> ExprNode:
-        leaf = self[arg] = _Node(self.kind, arg, (), 1)
+    def __missing__(self, value: float) -> ExprNode:
+        leaf = self[value] = _Node(_CONSTANT, value, (), 1)
         return leaf
 
 
@@ -424,8 +422,7 @@ def parse_to_tree(text: str, symbols: SymbolTable | None = None) -> ExprNode:
     """Parse ``text`` into a binary-form expression tree."""
     if symbols is None:
         symbols = DEFAULT_SYMBOLS
-    return _run(_LEXEMES(text), text, symbols, _Leaves(_VARIABLE), _Leaves(_CONSTANT).__getitem__,
-                _TREE_ACTIONS)
+    return _run(_LEXEMES(text), text, symbols, symbols._leaves, _Constants().__getitem__, _TREE_ACTIONS)
 
 
 def _value_error(err: Exception, text: str, symbols: SymbolTable, lexemes: list[str], bound: int):

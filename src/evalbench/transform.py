@@ -26,9 +26,8 @@ of them a like node of at least two children. So no subtree of fewer nodes
 is entered: its operands are shared as they are, which is what entering it
 would return, and the output is the same tree, sharing the same nodes.
 
-New nodes are built with the unchecked ``tree._Node``: regrouping the
-children of a valid tree keeps every arity and function name valid. The
-input must therefore be valid; a tree built through the ``make_*``
+New nodes are built through ``tree._Node`` (the ``tree`` docstring gives
+its rule), so the input must be valid; a tree built through the ``make_*``
 constructors or by the parser is, while one built directly with
 ``ExprNode(...)`` is not checked, and its faults show only in evaluation.
 """

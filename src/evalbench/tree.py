@@ -11,18 +11,18 @@ Every node also stores its subtree's node count when it is built, so
 ``count_nodes`` is O(1). A subtree shared by several parents counts once
 per occurrence, exactly as a walk would enter it.
 
-``_Node(kind, arg, children, size)`` builds a node with payload ``arg``
-and none of those checks, taking the node count from its caller. Only code
-whose own input rules already guarantee them may call it: the parser (the
-lexer rejects non-finite constants, the symbol table admits only known
-function names and the grammar fixes every arity), ``flatten`` (which
-only regroups the children of a tree it assumes valid) and ``_rebuild``
-(which restores a pickled or copied tree). Public callers use
-``make_*``; a node built directly with ``ExprNode(...)`` is not checked.
-
-Every construction route ends in ``_Node``, which also sets the private
-opcode ``_op`` that the evaluators' walkers dispatch on. It is derived from
-the other fields, so equality, hashing, ``repr`` and pickling ignore it.
+Every node is built by one route, ``_Node(kind, arg, children, size)``:
+``make_*``, ``ExprNode(...)``, the parser, ``flatten`` and ``_rebuild``
+(pickling and copying) all end there. It checks nothing and takes the
+node count from its caller, so only code whose own input rules guarantee
+the arity rules calls it directly: the parser (the lexer rejects
+non-finite constants, the symbol table admits only known function names
+and the grammar fixes every arity), ``flatten`` (which only regroups a
+valid tree's children) and ``_rebuild``. Public callers use ``make_*``;
+``ExprNode(...)`` is not checked. ``_Node`` alone sets the private opcode
+``_op`` the walkers dispatch on, derived from the other fields, so
+equality, hashing, ``repr`` and pickling ignore it. It allocates a bare
+``_Slots`` and re-classes it to the frozen ``ExprNode``.
 
 A point is an exact ``tuple`` of finite floats, which ``Bindings`` builds
 and checks. It is a plain tuple, not a subclass, so that CPython
@@ -108,14 +108,19 @@ _SUM_FOLD = "sum-fold"
 _PRODUCT_FOLD = "product-fold"
 
 
-class _Node:
-    """Mutable twin of ``ExprNode``: ``_Node(...)`` fills the slots unchecked,
-    sets the opcode ``_op``, then re-classes the node as a frozen
-    ``ExprNode`` before returning it.
+class _Slots:
+    """A node's five slots, with no ``__init__``: ``_Node`` allocates a
+    node as one and re-classes it once its slots are filled.
 
     ``_arg`` is the payload: a constant's value, a variable's index, a
     function call's name, or None. One slot for all three keeps a node at
-    five slots, inside the allocator's 80-byte class.
+    five slots, inside the allocator's 80-byte class."""
+
+    __slots__ = ("kind", "_arg", "children", "_size", "_op")
+
+
+def _Node(kind, arg, children, size):
+    """The node over the given fields, unchecked (see the module docstring).
 
     ``_op`` is the node's kind, except that a node with a child of at least
     ``_DEEP`` nodes gets ``_DEEP_OP`` (see ``_DEEP``), and otherwise a sum or
@@ -124,36 +129,31 @@ class _Node:
     unmarked nodes, and fold only where ``flatten`` merged, however many
     operands it gathered. The mark implies more than ``_DEEP`` nodes, so the
     children are read only past that test, and only up to the first big one."""
-
-    __slots__ = ("kind", "_arg", "children", "_size", "_op")
-
-    def __init__(self, kind, arg, children, size):
-        self.kind = kind
-        self._arg = arg
-        self.children = children
-        self._size = size
-        op = kind
-        if (kind is _SUM or kind is _PRODUCT) and len(children) != 2:
-            op = _SUM_FOLD if kind is _SUM else _PRODUCT_FOLD
-        if size > _DEEP:
-            for child in children:
-                if child._size >= _DEEP:
-                    op = _DEEP_OP
-                    break
-        self._op = op
-        self.__class__ = ExprNode
+    node = _Slots()
+    node.kind = kind
+    node._arg = arg
+    node.children = children
+    node._size = size
+    op = kind
+    if (kind is _SUM or kind is _PRODUCT) and len(children) != 2:
+        op = _SUM_FOLD if kind is _SUM else _PRODUCT_FOLD
+    if size > _DEEP:
+        for child in children:
+            if child._size >= _DEEP:
+                op = _DEEP_OP
+                break
+    node._op = op
+    node.__class__ = ExprNode
+    return node
 
 
-class ExprNode(_Node):
-    """One immutable tree node. Build through the ``make_*`` constructors.
-
-    A node built directly with ``ExprNode(...)`` is not checked; ``flatten``
-    and the evaluators assume a valid tree. Equality, hashing and ``repr``
-    use no recursion, and neither do pickling and copying, so all of them
-    work at any depth."""
+class ExprNode(_Slots):
+    """One immutable tree node. Build through the ``make_*`` constructors;
+    ``ExprNode(...)`` is not checked, and ``flatten`` and the evaluators
+    assume a valid tree. Equality, hashing and ``repr`` use no recursion,
+    and neither do pickling and copying, so all of them work at any depth."""
 
     __slots__ = ()
-    __init__ = object.__init__  # _Node's __init__ has already run in __new__
 
     def __new__(cls, kind, value=None, var_index=None, fn_name=None, children=()):
         arg = (value if kind is _CONSTANT else var_index if kind is _VARIABLE

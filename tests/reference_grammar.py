@@ -17,7 +17,6 @@ from evalbench.parser import (
     SymbolTable,
     Token,
     TokenTag,
-    _Leaves,
     _power,
     _quotient,
     _tree_binary,
@@ -175,7 +174,7 @@ def parse_to_tree(text: str, symbols: SymbolTable | None = None) -> ExprNode:
     """Parse ``text`` into a binary-form expression tree."""
     if symbols is None:
         symbols = DEFAULT_SYMBOLS
-    return _run(tokenize(text), symbols, _Leaves(OpKind.VARIABLE).__getitem__, _TREE_ACTIONS)
+    return _run(tokenize(text), symbols, symbols._leaves.__getitem__, _TREE_ACTIONS)
 
 
 def interpret_string(text: str, symbols: SymbolTable, bindings: tuple[float, ...]) -> tuple[float, int]:

@@ -33,6 +33,7 @@ import evalbench.evaluators as evaluators_module
 import evalbench.parser as parser_module
 from evalbench.evaluators import binary_value, nary_value
 from evalbench.parser import TokenTag, interpret_string
+from evalbench.tree import _preorder
 import reference_grammar
 import reference_lexer
 from strategies import bindings, handbuilt_binary_tree, has_like_chain, to_source, trees
@@ -217,6 +218,15 @@ def test_custom_symbol_table_round_trip():
     assert eval_string("u*v", table, (3.0, 4.0)) == 12.0
     tree = parse_to_tree("u*v", table)
     assert eval_binary(tree, Bindings((3.0, 4.0))).value == 12.0
+
+
+def test_trees_parsed_with_one_table_share_its_variable_leaves():
+    table = SymbolTable(("u", "x"))
+    parsed = [parse_to_tree(text, table) for text in ("x*u + x", "sin(u) - x^2", "x")]
+    variables = [node for tree in parsed for node, _ in _preorder(tree) if node.kind is OpKind.VARIABLE]
+    assert len(variables) == 6 and {id(node) for node in variables} == {id(leaf) for leaf in table._leaves}
+    assert parsed[2] is table._leaves[1] and parsed[2].var_index == 1
+    assert parse_to_tree("x").var_index == 0 and parse_to_tree("x") is not parsed[2]
 
 
 def _rebuild(node):

@@ -174,9 +174,11 @@ def test_one_leaf_per_variable_and_per_constant_value_within_a_parse():
     assert len(twos) == 4 and all(leaf is twos[0] for leaf in twos)
     three = next(leaf for leaf in leaves if leaf.value == 3.0)
     assert three is not twos[0]
-    # leaves are per parse, never shared between two parses
+    # a constant leaf is per parse; a variable leaf is the symbol table's
     again = parse_to_tree("2*x")
-    assert again.children[0] is not twos[0] and again.children[1] is not tree.children[0].children[0]
+    first = tree.children[0].children[0].children[0].children[0]
+    assert repr(again) == repr(first)
+    assert again.children[0] is not first.children[0] and again.children[1] is first.children[1]
 
 
 def _unshared(tree):
@@ -203,9 +205,11 @@ def _every_node_is_frozen(tree):
 
 @given(tree=trees())
 def test_no_mutable_node_escapes(tree):
-    parsed = parse_to_tree(to_source(tree), _XYZ)
-    for built in (tree, flatten(tree), parsed, flatten(parsed)):
+    for built in _on_every_route(tree, 300):
         assert _every_node_is_frozen(built)
+        for node, _ in _preorder(built):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                node.children = ()
 
 
 def _deep_pair(text_of):
