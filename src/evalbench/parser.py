@@ -21,13 +21,19 @@ is the whole point of the direct-evaluation strategy, so nothing is cached.
 
 One operator-precedence loop (Dijkstra's shunting-yard) serves both, with
 one of two action sets: the tree actions build nodes, the value actions
-fold floats and raise ``DomainFaultError``. The loop keeps its own operand
-and operator stacks, so nesting depth costs no Python stack and never
-raises ``RecursionError``. Unary minus sits between "*" and
-"^" in precedence and "^" is right-associative, which is exactly the
-grammar above. Each reduction happens as soon as the grammar's rule for it
-is complete, so a domain fault and a parse error in one text are met in the
-order a left-to-right reading meets them.
+fold floats with the bare operators (``operator.add`` to ``math.pow``) and
+the bare ``UNARY_FUNCTIONS``. The loop keeps its own operand and operator
+stacks, so nesting depth costs no Python stack and never raises
+``RecursionError``. Unary minus sits between "*" and "^" in precedence and
+"^" is right-associative, which is exactly the grammar above. Every reduction takes two operands: unary minus pushes a
+placeholder left operand (None), which its action ignores. Each reduction
+happens as soon as the grammar's rule for it is complete, so a domain fault
+and a parse error in one text are met in the order a left-to-right reading
+meets them. On the value path an arithmetic exception (``ArithmeticError``
+or ``ValueError``) is a domain fault: the error exit replays the loop once
+over the same lexemes with the checked actions, which reduce in the same
+order, meet the same first fault and raise ``DomainFaultError`` naming it.
+A text that folds runs the loop once; only a domain fault runs it twice.
 
 The loop reads the bare lexeme strings of one regex scan, whitespace
 skipped and an empty string at the end. An operand is looked up in the
@@ -39,11 +45,10 @@ one dict lookup. ``eval_string`` scans and runs the loop in its own frame;
 ``interpret_string`` also returns the token count, for ``evaluate``. The
 loop builds no ``Token`` and tracks no positions. ``tokenize`` reads the
 matches of that same scan, so its token ``i`` is the loop's lexeme ``i``.
-Errors are rare, so every error exit, and every domain fault or unbound
-variable on the way out, first runs ``tokenize`` over the whole text: a
-lexical error anywhere in the text wins, as if the text had been tokenized
-first, and otherwise the failing lexeme's ``Token`` gives the error its
-position. ``tokenize`` stays public API; a ``Token`` is a named tuple,
+Errors are rare, so every error exit, the value path's included, first
+runs ``tokenize`` over the whole text: a lexical error anywhere in the
+text wins, as if the text had been tokenized first, and otherwise the
+failing lexeme's ``Token`` gives the error its position. ``tokenize`` stays public API; a ``Token`` is a named tuple,
 built straight from a plain tuple. The tree actions build their nodes
 through ``tree._Node``, passing the node counts they already know (the
 ``tree`` docstring gives its rule). A symbol table holds one leaf per
@@ -210,7 +215,8 @@ def tokenize(text: str) -> list[Token]:
 # operator first reduces every entry whose precedence reaches its threshold.
 # "(" and "name(" push markers of precedence 0, which no operator reduces;
 # the bottom entry, precedence -1, marks the top level. Unary minus is the
-# only entry of precedence 3 and the only one-operand reduction.
+# only entry of precedence 3; it reduces like a binary operator, over the
+# placeholder operand it pushed, so every reduction pops one operand.
 
 _IDENT, _NUMBER, _MINUS, _LPAREN = TokenTag.IDENT, TokenTag.NUMBER, TokenTag.MINUS, TokenTag.LPAREN
 # The kinds the tree actions name per node, bound once: an enum member
@@ -249,7 +255,7 @@ def _value_call(name: str):
     return call
 
 
-# Each function's checked call, built once: the value actions, the deep
+# Each function's checked call, built once: the replay's actions, the deep
 # walk in ``evaluators`` and the black-box routines all read this table.
 _CHECKED_CALLS = {name: _value_call(name) for name in UNARY_FUNCTIONS}
 
@@ -262,37 +268,50 @@ def _tree_call(name: str):
     return lambda arg: _Node(_UNARY_FN, name, (arg,), arg._size + 1)
 
 
-# lexeme -> (reduction threshold, precedence, tree kind, value action). "^"
-# pushes at 4 but reduces only entries above 4 (none): right-associative.
+def _negative(_, arg: float) -> float:
+    return -arg
+
+
+# lexeme -> (reduction threshold, precedence, tree kind, bare value action).
+# "^" pushes at 4 but reduces only entries above 4 (none): right-associative.
 _BINARY = {
     "+": (1, 1, OpKind.SUM, operator.add),
     "-": (1, 1, OpKind.DIFFERENCE, operator.sub),
     "*": (2, 2, OpKind.PRODUCT, operator.mul),
-    "/": (2, 2, OpKind.QUOTIENT, _quotient),
-    "^": (5, 4, OpKind.POWER, _power),
+    "/": (2, 2, OpKind.QUOTIENT, operator.truediv),
+    "^": (5, 4, OpKind.POWER, math.pow),
 }
 
 
 class _Actions(NamedTuple):
     """What the grammar loop does at each reduction."""
 
-    negate: tuple  # operator-stack entry for unary minus
+    negate: tuple  # operator-stack entry for unary minus, over a placeholder
     binary: dict  # lexeme -> (reduction threshold, operator-stack entry)
     calls: dict  # function name -> marker whose action applies the function
 
 
+def _fold_actions(checked: dict, calls: dict) -> _Actions:
+    """Value actions: the bare operators, less those that ``checked``
+    replaces, and ``calls`` for the functions."""
+    return _Actions(
+        (_NEGATE_PRECEDENCE, _negative),
+        {lexeme: (threshold, (prec, checked.get(lexeme, action)))
+         for lexeme, (threshold, prec, _, action) in _BINARY.items()},
+        {name: (0, call) for name, call in calls.items()},
+    )
+
+
 _TREE_ACTIONS = _Actions(
-    (_NEGATE_PRECEDENCE, lambda arg: _Node(_NEGATE, None, (arg,), arg._size + 1)),
+    (_NEGATE_PRECEDENCE, lambda _, arg: _Node(_NEGATE, None, (arg,), arg._size + 1)),
     {lexeme: (threshold, (prec, _tree_binary(kind)))
      for lexeme, (threshold, prec, kind, _) in _BINARY.items()},
     {name: (0, _tree_call(name)) for name in UNARY_FUNCTIONS},
 )
-_VALUE_ACTIONS = _Actions(
-    (_NEGATE_PRECEDENCE, operator.neg),
-    {lexeme: (threshold, (prec, action))
-     for lexeme, (threshold, prec, _, action) in _BINARY.items()},
-    {name: (0, call) for name, call in _CHECKED_CALLS.items()},
-)
+# The fold raises the bare operators' exceptions; only the replay in
+# ``_value_error`` runs the checked actions, which name the domain fault.
+_VALUE_ACTIONS = _fold_actions({}, UNARY_FUNCTIONS)
+_CHECKED_ACTIONS = _fold_actions({"/": _quotient, "^": _power}, _CHECKED_CALLS)
 
 
 class _Constants(dict):
@@ -348,8 +367,9 @@ def _unknown_name(text: str, i: int, what: str, name: str):
 
 def _run(lexemes: list[str], text: str, symbols: SymbolTable, variable, constant, actions: _Actions):
     """Parse ``text``, scanned into ``lexemes``, with ``actions``; returns
-    the one remaining operand. An atom's operand is ``variable[index]`` or
-    ``constant(value)``, from a literal's float value."""
+    the one remaining operand. An atom's operand is ``variable[index]``, or
+    a literal's float value, passed through ``constant`` unless that is
+    None, as on the value path."""
     negate, binary, calls = actions
     indices = symbols._indices
     operands = []
@@ -367,7 +387,12 @@ def _run(lexemes: list[str], text: str, symbols: SymbolTable, variable, constant
             append(variable[index])
         else:
             lead = _LEAD.get(lexeme[:1])
-            if lead is _IDENT:
+            if lead is _NUMBER:
+                value = float(lexeme)
+                if value == _INF:
+                    tokenize(text)  # raises: the literal overflows a float
+                append(value if constant is None else constant(value))
+            elif lead is _IDENT:
                 if lexemes[i] != "(":
                     _unknown_name(text, i - 1, "variable", lexeme)
                 call = calls.get(lexeme)
@@ -376,13 +401,9 @@ def _run(lexemes: list[str], text: str, symbols: SymbolTable, variable, constant
                 stack.append(call)
                 i += 1
                 continue
-            if lead is _NUMBER:
-                value = float(lexeme)
-                if value == _INF:
-                    tokenize(text)  # raises: the literal overflows a float
-                append(constant(value))
             elif lead is _MINUS:
                 stack.append(negate)
+                append(None)  # the placeholder left operand
                 continue
             elif lead is _LPAREN:
                 stack.append(_PAREN)
@@ -397,11 +418,8 @@ def _run(lexemes: list[str], text: str, symbols: SymbolTable, variable, constant
             top = stack[-1]
             while top[0] >= threshold:
                 del stack[-1]
-                if top[0] == _NEGATE_PRECEDENCE:
-                    operands[-1] = top[1](operands[-1])
-                else:
-                    right = operands.pop()
-                    operands[-1] = top[1](operands[-1], right)
+                right = operands.pop()
+                operands[-1] = top[1](operands[-1], right)
                 top = stack[-1]
             if entry is not None:
                 stack.append(entry)
@@ -425,14 +443,18 @@ def parse_to_tree(text: str, symbols: SymbolTable | None = None) -> ExprNode:
     return _run(_LEXEMES(text), text, symbols, symbols._leaves, _Constants().__getitem__, _TREE_ACTIONS)
 
 
-def _value_error(err: Exception, text: str, symbols: SymbolTable, lexemes: list[str], bound: int):
-    """Raise what the value path raises after ``_run`` raised ``err`` on a
-    point of ``bound`` values: a lexical error anywhere in the text first,
-    then, for a short point, the first unbound variable, then ``err``."""
+def _value_error(err: Exception, text: str, symbols: SymbolTable, lexemes: list[str], point: tuple):
+    """Raise what the value path raises after ``_run`` raised ``err`` folding
+    ``point``: a lexical error anywhere in the text first; then, for a short
+    point, the first unbound variable; otherwise the domain fault that one
+    replay of the loop with the checked actions meets. The replay reduces in
+    the same order as the fold, so it meets the same first fault."""
     tokenize(text)
     if isinstance(err, IndexError):
         # Variables are read in lexeme order; no variable is named like a function.
-        _raise_unbound(map(symbols.variable_index, lexemes), bound)
+        _raise_unbound(map(symbols.variable_index, lexemes), len(point))
+    else:
+        _run(lexemes, text, symbols, point, None, _CHECKED_ACTIONS)
     raise err
 
 
@@ -441,9 +463,9 @@ def interpret_string(text: str, symbols: SymbolTable, bindings: tuple[float, ...
     fault always raises; ``evaluators.evaluate`` alone turns it into NaN."""
     lexemes = _LEXEMES(text)
     try:
-        return _run(lexemes, text, symbols, bindings, float, _VALUE_ACTIONS), len(lexemes)
-    except (DomainFaultError, IndexError) as err:
-        _value_error(err, text, symbols, lexemes, len(bindings))
+        return _run(lexemes, text, symbols, bindings, None, _VALUE_ACTIONS), len(lexemes)
+    except (ArithmeticError, ValueError, IndexError) as err:
+        _value_error(err, text, symbols, lexemes, bindings)
 
 
 def eval_string(text: str, symbols: SymbolTable | None = None, bindings=()) -> float:
@@ -453,6 +475,6 @@ def eval_string(text: str, symbols: SymbolTable | None = None, bindings=()) -> f
     point = Bindings(bindings)
     lexemes = _LEXEMES(text)
     try:
-        return _run(lexemes, text, symbols, point, float, _VALUE_ACTIONS)
-    except (DomainFaultError, IndexError) as err:
-        _value_error(err, text, symbols, lexemes, len(point))
+        return _run(lexemes, text, symbols, point, None, _VALUE_ACTIONS)
+    except (ArithmeticError, ValueError, IndexError) as err:
+        _value_error(err, text, symbols, lexemes, point)

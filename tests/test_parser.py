@@ -201,6 +201,90 @@ def test_eval_string_power_fault_names_its_operands():
     assert info.value.op == "power" and info.value.operands == (-1.0, 0.5)
 
 
+@pytest.mark.parametrize(
+    "text, checked, operands",
+    [
+        ("1/(x-x)", parser_module._quotient, (1.0, 0.0)),
+        ("(0-1)^0.5", parser_module._power, (-1.0, 0.5)),
+        ("10^400", parser_module._power, (10.0, 400.0)),
+        ("0^(0-1)", parser_module._power, (0.0, -1.0)),
+        ("exp(1000)", parser_module._CHECKED_CALLS["exp"], (1000.0,)),
+        ("log(0)", parser_module._CHECKED_CALLS["log"], (0.0,)),
+        ("sqrt(0-1)", parser_module._CHECKED_CALLS["sqrt"], (-1.0,)),
+        ("sin(1e308*10)", parser_module._CHECKED_CALLS["sin"], (math.inf,)),
+    ],
+)
+def test_string_fault_is_the_checked_helpers_fault(text, checked, operands):
+    # the fold applies the bare operator; the replay names its fault
+    with pytest.raises(DomainFaultError) as want:
+        checked(*operands)
+    b = Bindings((1.0,))
+    for run in (lambda: eval_string(text, None, b), lambda: evaluate(EvalMethod.STRING_PARSE, text, b)):
+        with pytest.raises(DomainFaultError) as got:
+            run()
+        assert (got.value.op, got.value.operands, str(got.value)) == (
+            want.value.op, want.value.operands, str(want.value))
+    outcome = evaluate(EvalMethod.STRING_PARSE, text, b, nan_on_fault=True)
+    assert math.isnan(outcome.value) and outcome.visits == len(tokenize(text))
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("x/0+y", DomainFaultError),  # the fault is met before y is read
+        ("y+x/0", UnboundVariableError),
+        ("-x^400^2+y", DomainFaultError),
+        ("x/0+y@", ParseError),  # a lexical error anywhere comes first
+    ],
+)
+def test_string_fault_and_short_point_in_reading_order(text, error):
+    with pytest.raises(error):
+        eval_string(text, None, (10.0,))
+
+
+@pytest.mark.parametrize(
+    "text, error, runs",
+    [
+        ("-x*sin(y)", None, 1),
+        ("-x*(y", ParseError, 1),
+        ("-x*y", UnboundVariableError, 1),
+        ("-x*log(y-y)", DomainFaultError, 2),
+        ("-x/(y-y)+)", DomainFaultError, 2),
+    ],
+)
+def test_string_loop_runs_twice_only_on_a_domain_fault(monkeypatch, text, error, runs):
+    calls = []
+    run = parser_module._run
+
+    def counted(*args):
+        calls.append(args[-1])
+        return run(*args)
+
+    monkeypatch.setattr(parser_module, "_run", counted)
+    point = (0.5,) if error is UnboundVariableError else (0.5, 2.0)
+    for call in (lambda: eval_string(text, None, point),
+                 lambda: interpret_string(text, parser_module.DEFAULT_SYMBOLS, Bindings(point))):
+        calls.clear()
+        if error is None:
+            call()
+        else:
+            with pytest.raises(error):
+                call()
+        # the fold first, then, on a domain fault alone, the checked replay
+        assert calls == [parser_module._VALUE_ACTIONS, parser_module._CHECKED_ACTIONS][:runs]
+
+
+def test_negation_flips_the_sign_of_nan_like_the_walkers():
+    b = Bindings(())
+    inner = "(1e308*10-1e308*10)"
+    for text in (inner, "-" + inner, "--" + inner):
+        tree = parse_to_tree(text)
+        signs = {math.copysign(1.0, v) for v in (eval_string(text), binary_value(tree, b),
+                                                 nary_value(flatten(tree), b))}
+        assert len(signs) == 1, text
+    assert math.copysign(1.0, eval_string("-" + inner)) == -math.copysign(1.0, eval_string(inner))
+
+
 def test_symbol_table_validation():
     with pytest.raises(ValueError):
         SymbolTable(("x", "x"))
@@ -482,6 +566,12 @@ def test_faulting_string_is_tokenized_once(monkeypatch):
     with pytest.raises(UnboundVariableError):
         eval_string("x+y", None, (0.5,))
     assert calls == ["log(x-x)+y"] * 2 + ["x+y"]
+    # the checked replay of a domain fault scans no more than the fold did
+    for text in ("-x/(x-x)", "(0-x)^0.5", "-sqrt(-x)+@"):
+        del calls[:]
+        with pytest.raises((DomainFaultError, ParseError)):
+            eval_string(text, None, (0.5, 2.0))
+        assert calls == [text]
 
 
 # Texts for the differential test against the Token-based grammar loop:
