@@ -6,46 +6,10 @@ walker that folds sums and products over all children. A uniform
 ``evaluate`` dispatcher (which also covers direct string evaluation) serves
 the CLI; the benchmark harness times the walkers directly.
 
-There is one walker per tree form. ``binary_value`` and ``nary_value``
-return the bare value and are what timed loops call; ``eval_binary`` and
+``binary_value`` and ``nary_value`` return the bare value and are what
+timed loops call (``_walker`` gives their rules); ``eval_binary`` and
 ``eval_nary`` wrap them in an ``EvalOutcome`` whose ``visits`` is the
-tree's node count, stored on the tree, so the walkers count nothing and
-add no per-node cost to the path being timed.
-
-The two walkers are one function body, built twice by ``_walker``. They
-dispatch on each node's private opcode ``_op``, set once when the node is
-built (see ``tree._Node``), in one branch order. Every operand that is a
-leaf, under any operator, is read in place (``bindings[node._arg]`` or
-``node._arg``) rather than walked, so a walker is entered only at interior
-nodes and at the root. A sum or product with exactly two children runs the
-same unpack code in both walkers; only the nodes ``flatten`` merged carry a
-fold opcode, which the n-ary walker folds and the binary walker rejects
-with ``ArityMismatchError``. What separates the walkers is therefore the
-one call the n-ary form saves per collapsed node.
-
-Both walkers work at any depth without touching the recursion limit. A
-node with a child of at least ``tree._DEEP`` nodes carries a deep
-opcode; every other node is at most ``tree._DEEP`` high, has no marked
-descendant, and is walked by plain recursion. So a flattened sum or
-product of small operands, however many, is folded in place. The walkers
-test no size: their last branch hands a deep node to ``_deep_value``,
-one explicit-stack post-order loop shared by both. It gives a deep sum
-or product one frame for its whole left spine of deep nodes of its kind,
-folding the spine's operands into one accumulator in a loop shaped like
-the walker's own fold, which it leaves only for an operand with the deep
-opcode and resumes after it; it applies every other deep node's operator
-to its operands' values through the string evaluator's checked helpers,
-so a walk builds no node; and it hands every operand without the deep
-opcode back to the recursive walker. It keeps reading order, so values
-and the first fault are the same either way.
-
-So below ``tree._DEEP`` the n-ary form saves exactly one walker call per
-node that ``flatten`` removed. Above it, the binary form takes a deep
-spine's operands as steps of ``_deep_value``'s fold, not calls, so the
-n-ary form saves fewer calls than nodes; both walkers fold those
-operands in the same tight shape of loop, and what the n-ary form still
-saves is the spine nodes it never walks. ``_walk_counts`` gives a walk's
-calls and steps without walking.
+tree's stored node count, so the walkers count nothing.
 """
 
 import enum
@@ -58,8 +22,9 @@ from .errors import (
     MethodSourceMismatchError,
     UnknownFunctionIdError,
 )
-from .parser import DEFAULT_SYMBOLS, _CHECKED_CALLS, _LEXEMES, SymbolTable, _power, _quotient, interpret_string
+from .parser import DEFAULT_SYMBOLS, _LEXEMES, SymbolTable, interpret_string
 from .tree import (
+    _CHECKED_CALLS,
     UNARY_FUNCTIONS,
     _DEEP_OP,
     _PRODUCT_FOLD,
@@ -67,7 +32,9 @@ from .tree import (
     Bindings,
     ExprNode,
     OpKind,
+    _power,
     _preorder,
+    _quotient,
     _raise_unbound,
     count_nodes,
 )
@@ -90,11 +57,9 @@ class EvalOutcome(NamedTuple):
     """Result of one evaluation: a tuple, equal to ``(value, visits)``.
 
     ``visits`` counts units of work: the tree's node count for the tree
-    methods (a walk enters only interior nodes and the root, and reads
-    leaf operands in place), tokens consumed for direct string evaluation,
-    and 0 for black-box calls (the routine's interior is opaque by
-    definition). A domain fault turned into NaN by ``nan_on_fault`` leaves
-    the tree methods' count unchanged.
+    methods, tokens consumed for direct string evaluation, and 0 for
+    black-box calls, whose interior is opaque by definition. A domain fault
+    turned into NaN by ``nan_on_fault`` leaves it as on success.
     """
 
     value: float
@@ -104,8 +69,8 @@ class EvalOutcome(NamedTuple):
 # --- black-box functions ---------------------------------------------------
 # Eight fixed routines of (x, y), expected on the unit square. Callers pick
 # one by id but have no run-time control over its body. Powers and sines go
-# through the string evaluator's checked operators, so outside the square
-# a routine raises the same ``DomainFaultError`` as the other methods.
+# through ``tree``'s checked helpers, so outside the square a routine raises
+# the same ``DomainFaultError`` as the other methods.
 
 _sin = _CHECKED_CALLS["sin"]
 
@@ -172,11 +137,23 @@ _new_outcome = tuple.__new__  # EvalOutcome from a 2-tuple, skipping its Python 
 
 
 def _walker(folds: bool):
-    """The recursive walker over the opcode ``_op`` (see ``tree._Node``);
-    it folds the sums and products that ``flatten`` merged if ``folds``, and
-    raises ``ArityMismatchError`` on them if not. Each operand that is a
-    leaf is read in place, not walked. Fixed-arity operands are indexed, so a node
-    built directly with too few children raises ``IndexError``."""
+    """The recursive walker over the opcode ``_op`` (see ``tree._Node``):
+    ``binary_value`` if not ``folds``, ``nary_value`` if ``folds``.
+
+    The leaf-in-place rule: an operand that is a leaf, under any operator,
+    is read in place (``bindings[node._arg]`` or ``node._arg``), not walked,
+    so a walker is entered only at interior nodes and at the root.
+    Fixed-arity operands are indexed, so a node built directly with too few
+    children raises ``IndexError``.
+
+    The one-call-per-collapsed-node rule: a sum or product of two children
+    runs the same code in both walkers; only the nodes ``flatten`` merged
+    carry a fold opcode, which ``nary_value`` folds and ``binary_value``
+    rejects with ``ArityMismatchError``. So on an unmarked tree (see
+    ``tree._DEEP``) the n-ary form saves one call per node ``flatten``
+    removed. A marked node goes to ``_deep_value``, where the binary form
+    takes a marked spine's operands as steps, not calls, so there the n-ary
+    form saves fewer calls than nodes; ``_walk_counts`` gives both."""
 
     def walk(node, bindings):
         # Branches by how often the benchmark workloads meet them: power
@@ -196,7 +173,7 @@ def _walker(folds: bool):
             try:
                 return math.pow(base, exponent)
             except (ValueError, OverflowError):
-                raise DomainFaultError("power", (base, exponent)) from None
+                return _power(base, exponent)
         if op is _SUM_FOLD:
             if not folds:
                 raise ArityMismatchError(_SUM, len(node.children), "exactly 2 (binary form)")
@@ -239,7 +216,7 @@ def _walker(folds: bool):
             try:
                 return UNARY_FUNCTIONS[node._arg](arg)
             except (ValueError, OverflowError):
-                raise DomainFaultError(node._arg, (arg,)) from None
+                return _CHECKED_CALLS[node._arg](arg)
         if op is _VARIABLE:
             return bindings[node._arg]
         if op is _DIFFERENCE:
@@ -265,7 +242,7 @@ def _walker(folds: bool):
             try:
                 return num / den
             except ZeroDivisionError:
-                raise DomainFaultError("quotient", (num, den)) from None
+                return _quotient(num, den)
         if op is _NEGATE:
             child = node.children[0]
             k = child._op
@@ -293,18 +270,15 @@ nary_value.__doc__ = """Evaluate any valid tree, folding sums and products over 
 
 def _deep_value(node: ExprNode, bindings: tuple[float, ...], walker) -> float:
     """``walker``'s value of ``node``, a node marked ``_DEEP_OP``: a
-    post-order loop, on an explicit stack, over its subtrees so marked, that
+    post-order loop, on an explicit stack, over its marked subtrees, that
     hands every other operand to ``walker``. A marked sum or product takes
     one frame for its whole left spine of marked nodes of its kind, whose
     operands, gathered in reading order by ``_spine``, fold into one
     accumulator from -0.0 or 1.0; both are exact identities, so the bits are
-    recursion's. The fold is a tight loop like the walker's own: it reads a
-    leaf in place or calls ``walker``, and leaves it only for an operand
-    that is itself marked, resuming after it. Under ``binary_value`` every
-    spine node must have two children, checked top-down before any operand
-    is evaluated. The other kinds apply their operator to their operands'
-    values through the string evaluator's checked helpers, so a walk builds
-    no node."""
+    recursion's. The fold leaves its tight loop only for a marked operand,
+    and resumes after it. Under ``binary_value`` every spine node must have
+    two children, checked top-down before any operand is evaluated. The
+    other kinds apply ``tree``'s checked helpers, so a walk builds no node."""
     binary = walker is binary_value
     # Each unfinished ancestor's node, operands, operand count, next operand
     # index and fold, laid flat: a frame object per level would keep
@@ -458,9 +432,8 @@ def evaluate(
     defaults to the x,y table). The tree methods run their walker here: a
     variable past the point's end raises ``UnboundVariableError``, and
     ``visits`` is the tree's node count. With ``nan_on_fault`` a domain fault
-    gives NaN, under every method, with the method's usual ``visits``. This
-    is the only place where a fault becomes NaN: ``eval_binary`` and
-    ``eval_nary`` call it, and the strategies below it always raise.
+    gives NaN, under every method, with the method's usual ``visits``; see
+    ``tree``'s fault rule.
     """
     b = Bindings(bindings)
     try:

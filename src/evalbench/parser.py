@@ -14,47 +14,26 @@ identifier must name a known variable. Numbers are decimal literals with
 an optional fraction and optional exponent (2, 2.5, 2.5e-1). There is no
 implicit multiplication: write 2*x*y, not 2xy.
 
-Two consumers share the grammar: ``parse_to_tree`` builds a binary-form
-ExprNode, while ``eval_string`` folds numeric values during parsing and
-never allocates a tree -- re-tokenizing and re-interpreting on every call
-is the whole point of the direct-evaluation strategy, so nothing is cached.
+``parse_to_tree`` builds a binary-form ExprNode; ``eval_string`` folds
+values while it parses and allocates no tree, re-scanning on every call,
+which is the whole cost of the direct-evaluation strategy. Both run one
+operator-precedence loop (shunting-yard) with its own operand and operator
+stacks, so nesting costs no Python stack, with one of two action sets: the
+tree actions build nodes through ``tree._Node``, the value actions fold
+with the bare operators. Each reduction happens as soon as its rule is
+complete, so a domain fault and a parse error in one text are met in
+reading order. On the value path an arithmetic exception makes the loop
+run once more with the checked actions, the helpers of ``tree``'s fault
+rule, which meet the same first fault and name it.
 
-One operator-precedence loop (Dijkstra's shunting-yard) serves both, with
-one of two action sets: the tree actions build nodes, the value actions
-fold floats with the bare operators (``operator.add`` to ``math.pow``) and
-the bare ``UNARY_FUNCTIONS``. The loop keeps its own operand and operator
-stacks, so nesting depth costs no Python stack and never raises
-``RecursionError``. Unary minus sits between "*" and "^" in precedence and
-"^" is right-associative, which is exactly the grammar above. Every reduction takes two operands: unary minus pushes a
-placeholder left operand (None), which its action ignores. Each reduction
-happens as soon as the grammar's rule for it is complete, so a domain fault
-and a parse error in one text are met in the order a left-to-right reading
-meets them. On the value path an arithmetic exception (``ArithmeticError``
-or ``ValueError``) is a domain fault: the error exit replays the loop once
-over the same lexemes with the checked actions, which reduce in the same
-order, meet the same first fault and raise ``DomainFaultError`` naming it.
-A text that folds runs the loop once; only a domain fault runs it twice.
-
-The loop reads the bare lexeme strings of one regex scan, whitespace
-skipped and an empty string at the end. An operand is looked up in the
-variable table first, as variables are the most common operand, and read
-by subscript: the point tuple itself on the value path, so a short point
-raises ``IndexError``, and the symbol table's leaves on the tree path. Any
-other operand is told by its first character, and an operator's action is
-one dict lookup. ``eval_string`` scans and runs the loop in its own frame;
-``interpret_string`` also returns the token count, for ``evaluate``. The
-loop builds no ``Token`` and tracks no positions. ``tokenize`` reads the
-matches of that same scan, so its token ``i`` is the loop's lexeme ``i``.
-Errors are rare, so every error exit, the value path's included, first
-runs ``tokenize`` over the whole text: a lexical error anywhere in the
-text wins, as if the text had been tokenized first, and otherwise the
-failing lexeme's ``Token`` gives the error its position. ``tokenize`` stays public API; a ``Token`` is a named tuple,
-built straight from a plain tuple. The tree actions build their nodes
-through ``tree._Node``, passing the node counts they already know (the
-``tree`` docstring gives its rule). A symbol table holds one leaf per
-variable, shared by every tree parsed with it, and one parse makes one
-leaf per distinct constant value, so trees may share their leaves; nodes
-are immutable, so sharing changes no value, equality, hash or node count.
+The loop reads the bare lexeme strings of one regex scan, and ``tokenize``
+the matches of that same scan, so its token ``i`` is the loop's lexeme
+``i``. Every error exit first runs ``tokenize`` over the whole text, so a
+lexical error anywhere wins; otherwise the failing token gives the error
+its position. A symbol table holds one leaf per variable, shared by every
+tree parsed with it, and a parse makes one leaf per distinct constant
+value; nodes are immutable, so sharing changes no value, equality, hash or
+node count.
 """
 
 import enum
@@ -64,14 +43,9 @@ import re
 import string
 from typing import NamedTuple
 
-from .errors import DomainFaultError, ParseError, ParseErrorKind
+from .errors import ParseError, ParseErrorKind
 from .tree import (
-    UNARY_FUNCTIONS,
-    Bindings,
-    ExprNode,
-    OpKind,
-    _Node,
-    _raise_unbound,
+    _CHECKED_CALLS, UNARY_FUNCTIONS, Bindings, ExprNode, OpKind, _Node, _power, _quotient, _raise_unbound,
 )
 
 
@@ -229,37 +203,6 @@ _NEGATE_PRECEDENCE = 3
 _INF = math.inf
 
 
-def _quotient(num: float, den: float) -> float:
-    try:
-        return num / den
-    except ZeroDivisionError:
-        raise DomainFaultError("quotient", (num, den)) from None
-
-
-def _power(base: float, exponent: float) -> float:
-    try:
-        return math.pow(base, exponent)
-    except (ValueError, OverflowError):
-        raise DomainFaultError("power", (base, exponent)) from None
-
-
-def _value_call(name: str):
-    fn = UNARY_FUNCTIONS[name]
-
-    def call(arg: float) -> float:
-        try:
-            return fn(arg)
-        except (ValueError, OverflowError):
-            raise DomainFaultError(name, (arg,)) from None
-
-    return call
-
-
-# Each function's checked call, built once: the replay's actions, the deep
-# walk in ``evaluators`` and the black-box routines all read this table.
-_CHECKED_CALLS = {name: _value_call(name) for name in UNARY_FUNCTIONS}
-
-
 def _tree_binary(kind: OpKind):
     return lambda left, right: _Node(kind, None, (left, right), left._size + right._size + 1)
 
@@ -308,8 +251,6 @@ _TREE_ACTIONS = _Actions(
      for lexeme, (threshold, prec, kind, _) in _BINARY.items()},
     {name: (0, _tree_call(name)) for name in UNARY_FUNCTIONS},
 )
-# The fold raises the bare operators' exceptions; only the replay in
-# ``_value_error`` runs the checked actions, which name the domain fault.
 _VALUE_ACTIONS = _fold_actions({}, UNARY_FUNCTIONS)
 _CHECKED_ACTIONS = _fold_actions({"/": _quotient, "^": _power}, _CHECKED_CALLS)
 

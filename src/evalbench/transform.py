@@ -1,35 +1,15 @@
 """Collapse chains of like associative operators into n-ary nodes.
 
-``flatten`` merges a sum child into its parent sum (likewise for products)
-so that a left- or right-leaning binary chain becomes a single operator
-node over the whole operand sequence. Operand order is preserved exactly:
-floating-point addition is not associative, so reordering could change
-results. Difference, quotient and power are never collapsed; no algebraic
-rewriting (a-b into a + (-1*b), etc.) is performed.
+``flatten`` merges a sum child into its parent sum (likewise for products),
+so a binary chain becomes one node over the whole operand sequence, in the
+same order: floating-point addition is not associative. Difference,
+quotient and power never merge, and nothing is rewritten algebraically.
 
-It works at any depth by the walkers' pattern (see ``evaluators``): a
-node is marked ``tree._DEEP_OP`` when one of its children has at least
-``tree._DEEP`` nodes, so an unmarked subtree is at most ``tree._DEEP`` high
-and is flattened by recursion, and only the marked nodes are expanded on an
-explicit stack. A subtree with nothing to merge is not copied: the result
-shares it with the input, so flattening a flat tree returns the tree itself.
-
-One gatherer, ``_operands``, collects every node's flattened operands, with
-the node's own kind for a sum or product and None for the kinds that never
-merge; it rebuilds an operand it entered itself, so the recursion takes one
-frame per tree level. The root, and each unmarked node that the
-explicit-stack pass reaches, enter it as a lone operand under None.
-
-The smallest tree with something to merge, ``sum(sum(a, b), c)``, has
-``_MERGEABLE`` (five) nodes: a sum or product of at least two children, one
-of them a like node of at least two children. So no subtree of fewer nodes
-is entered: its operands are shared as they are, which is what entering it
-would return, and the output is the same tree, sharing the same nodes.
-
-New nodes are built through ``tree._Node`` (the ``tree`` docstring gives
-its rule), so the input must be valid; a tree built through the ``make_*``
-constructors or by the parser is, while one built directly with
-``ExprNode(...)`` is not checked, and its faults show only in evaluation.
+It follows ``tree._DEEP``'s rule: ``_operands`` flattens unmarked subtrees
+by recursion, one frame per tree level, and ``_flatten_deep`` expands the
+marked nodes on an explicit stack. A subtree with nothing to merge is
+shared with the input, not copied, so flattening a flat tree returns the
+tree itself. New nodes are built through ``tree._Node``, which checks nothing.
 """
 
 from operator import attrgetter, is_
@@ -39,8 +19,10 @@ from .tree import _DEEP_OP, ExprNode, OpKind, _Node, count_nodes
 _SUM = OpKind.SUM
 _PRODUCT = OpKind.PRODUCT
 _size = attrgetter("_size")
-#: Nodes in the smallest tree that holds a merge, ``sum(sum(a, b), c)``; a
-#: fact of the grammar, not a tuning knob.
+#: The five-node rule: the smallest tree that holds a merge,
+#: ``sum(sum(a, b), c)``, has five nodes, so no subtree of fewer is entered;
+#: it is kept as it is, which is what entering it would return. A fact of
+#: the grammar, not a tuning knob.
 _MERGEABLE = 5
 
 
@@ -63,8 +45,7 @@ def _operands(children: tuple, kind: OpKind | None, out: list) -> bool:
     ``kind`` is the node's own kind for a sum or product, whose like children
     are merged into it, and None for every other kind, which never merges.
     An operand of another kind is entered, and rebuilt if anything under it
-    merged, only if it has at least ``_MERGEABLE`` nodes: a smaller one holds
-    no merge and is kept as it is. Each call is one frame for one tree level."""
+    merged, only if it has at least ``_MERGEABLE`` nodes."""
     merged = False
     for child in children:
         if child.kind is kind:

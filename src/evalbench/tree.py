@@ -21,8 +21,7 @@ and the grammar fixes every arity), ``flatten`` (which only regroups a
 valid tree's children) and ``_rebuild``. Public callers use ``make_*``;
 ``ExprNode(...)`` is not checked. ``_Node`` alone sets the private opcode
 ``_op`` the walkers dispatch on, derived from the other fields, so
-equality, hashing, ``repr`` and pickling ignore it. It allocates a bare
-``_Slots`` and re-classes it to the frozen ``ExprNode``.
+equality, hashing, ``repr`` and pickling ignore it.
 
 A point is an exact ``tuple`` of finite floats, which ``Bindings`` builds
 and checks. It is a plain tuple, not a subclass, so that CPython
@@ -39,6 +38,7 @@ from typing import Iterable, Iterator
 
 from .errors import (
     ArityMismatchError,
+    DomainFaultError,
     LeafKindError,
     NonFiniteValueError,
     UnboundVariableError,
@@ -55,6 +55,44 @@ UNARY_FUNCTIONS = {
     "log": math.log,
     "sqrt": math.sqrt,
 }
+
+# The fault rule: an operator whose operands leave its real domain (a zero
+# divisor, or ``math.pow`` or a function raising ``ValueError`` or
+# ``OverflowError``) is a domain fault, and the checked helpers below raise
+# it as ``DomainFaultError(op, operands)``. No other code builds one, so all
+# four methods name a fault alike. Timed paths apply the bare operator and,
+# on its exception, hand the same operands to the helper, which names it;
+# ``evaluators.evaluate`` is the one place where a fault becomes NaN.
+
+
+def _quotient(num: float, den: float) -> float:
+    try:
+        return num / den
+    except ZeroDivisionError:
+        raise DomainFaultError("quotient", (num, den)) from None
+
+
+def _power(base: float, exponent: float) -> float:
+    try:
+        return math.pow(base, exponent)
+    except (ValueError, OverflowError):
+        raise DomainFaultError("power", (base, exponent)) from None
+
+
+def _value_call(name: str):
+    fn = UNARY_FUNCTIONS[name]
+
+    def call(arg: float) -> float:
+        try:
+            return fn(arg)
+        except (ValueError, OverflowError):
+            raise DomainFaultError(name, (arg,)) from None
+
+    return call
+
+
+# Each function's checked call, built once.
+_CHECKED_CALLS = {name: _value_call(name) for name in UNARY_FUNCTIONS}
 
 
 class OpKind(enum.Enum):
@@ -92,17 +130,18 @@ _UNARY_FN = OpKind.UNARY_FN
 _SUM = OpKind.SUM
 _PRODUCT = OpKind.PRODUCT
 
-#: Bound on the height of a subtree the walkers and ``flatten`` enter by
-#: recursion, so a walk started below the recursion limit's last few hundred
-#: frames stays inside it. A node is marked deep when one of its children has
-#: at least ``_DEEP`` nodes; an unmarked node's children are then each at most
-#: ``_DEEP - 1`` high, so it is at most ``_DEEP`` high, and none of its
-#: descendants is marked. At least 1, so that no leaf is marked. Read when a
-#: node is built, not when it is walked.
+#: The depth rule. A node is marked ``_DEEP_OP`` when it is built if one of
+#: its children has at least ``_DEEP`` nodes. An unmarked node's children are
+#: then each at most ``_DEEP - 1`` high, so it is at most ``_DEEP`` high and
+#: none of its descendants is marked. The walkers and ``flatten`` recurse only
+#: into unmarked nodes and take marked ones on an explicit stack, so a walk
+#: started below the recursion limit's last few hundred frames stays inside
+#: it at any depth, and a flat sum of any number of small operands is not
+#: marked. At least 1, so that no leaf is marked. Read when a node is built.
 _DEEP = 300
 
-# The ``_op`` markers that stand in for a node's kind: a node with a child of
-# at least ``_DEEP`` nodes, and a sum or product with other than two children.
+# The ``_op`` markers that stand in for a node's kind: a node marked by
+# ``_DEEP``'s rule, and a sum or product with other than two children.
 _DEEP_OP = "deep"
 _SUM_FOLD = "sum-fold"
 _PRODUCT_FOLD = "product-fold"
@@ -122,13 +161,10 @@ class _Slots:
 def _Node(kind, arg, children, size):
     """The node over the given fields, unchecked (see the module docstring).
 
-    ``_op`` is the node's kind, except that a node with a child of at least
-    ``_DEEP`` nodes gets ``_DEEP_OP`` (see ``_DEEP``), and otherwise a sum or
-    product with other than exactly two children gets ``_SUM_FOLD`` or
-    ``_PRODUCT_FOLD``. So the walkers test no size, recurse only into
-    unmarked nodes, and fold only where ``flatten`` merged, however many
-    operands it gathered. The mark implies more than ``_DEEP`` nodes, so the
-    children are read only past that test, and only up to the first big one."""
+    ``_op`` is the node's kind, except that a node marked by ``_DEEP``'s
+    rule gets ``_DEEP_OP``, and otherwise a sum or product with other than
+    exactly two children gets ``_SUM_FOLD`` or ``_PRODUCT_FOLD``: only the
+    nodes ``flatten`` merged fold."""
     node = _Slots()
     node.kind = kind
     node._arg = arg

@@ -17,14 +17,11 @@ from evalbench.parser import (
     SymbolTable,
     Token,
     TokenTag,
-    _power,
-    _quotient,
     _tree_binary,
     _tree_call,
-    _value_call,
     tokenize,
 )
-from evalbench.tree import UNARY_FUNCTIONS, ExprNode, OpKind, _raise_unbound
+from evalbench.tree import UNARY_FUNCTIONS, ExprNode, OpKind, _power, _quotient, _raise_unbound, _value_call
 
 # Operator-stack entries are (precedence, action) pairs. An incoming binary
 # operator first reduces every entry whose precedence reaches its threshold.

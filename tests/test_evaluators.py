@@ -34,7 +34,6 @@ from evalbench import (
 )
 from evalbench.benchmark import EXPRESSIONS
 import evalbench.evaluators as evaluators_module
-import evalbench.parser as parser_module
 import evalbench.tree as tree_module
 from evalbench.evaluators import _walk_counts, binary_value, nary_value
 from strategies import bindings, handbuilt_binary_tree, handbuilt_nary_tree, has_like_chain, trees
@@ -357,15 +356,24 @@ def test_walks_build_no_nodes(monkeypatch):
 def test_deep_function_nodes_build_no_checked_calls(monkeypatch):
     tree = parse_to_tree("sin(" * 10_000 + "x" + ")" * 10_000)
     assert tree._op is tree_module._DEEP_OP
-    built = []
+    marked = sum(node._op is tree_module._DEEP_OP for node, _ in tree_module._preorder(tree))
+    sin, calls, built = tree_module._CHECKED_CALLS["sin"], [], []
 
-    def counted(name):
-        built.append(name)
-        return parser_module._value_call(name)
+    def counted(arg):
+        calls.append(arg)
+        return sin(arg)
 
-    monkeypatch.setattr(evaluators_module, "_value_call", counted, raising=False)
+    # The deep walk reads the shared table, so a checked call is applied,
+    # once per marked node, and none is built.
+    monkeypatch.setitem(tree_module._CHECKED_CALLS, "sin", counted)
+    monkeypatch.setattr(tree_module, "_value_call", lambda name: built.append(name))
     b = Bindings((0.5,))
-    assert float.hex(binary_value(tree, b)) == float.hex(nary_value(tree, b))
+    values = []
+    for walker in (binary_value, nary_value):
+        calls.clear()
+        values.append(float.hex(walker(tree, b)))
+        assert len(calls) == marked
+    assert values[0] == values[1]
     assert built == []
 
 

@@ -31,9 +31,10 @@ from evalbench import (
 )
 import evalbench.evaluators as evaluators_module
 import evalbench.parser as parser_module
+import evalbench.tree as tree_module
 from evalbench.evaluators import binary_value, nary_value
 from evalbench.parser import TokenTag, interpret_string
-from evalbench.tree import _preorder
+from evalbench.tree import _CHECKED_CALLS, _power, _preorder, _quotient
 import reference_grammar
 import reference_lexer
 from strategies import bindings, handbuilt_binary_tree, has_like_chain, to_source, trees
@@ -201,25 +202,46 @@ def test_eval_string_power_fault_names_its_operands():
     assert info.value.op == "power" and info.value.operands == (-1.0, 0.5)
 
 
+# The black-box routine, and its point, that meets a text's fault.
+_BLACKBOX_FAULTS = {
+    "(0-1)^0.5": (3, -1.0, 0.5),
+    "10^400": (3, 10.0, 400.0),
+    "0^(0-1)": (3, 0.0, -1.0),
+    "sin(1e308*10)": (6, 1e308, 1.0),
+}
+
+
 @pytest.mark.parametrize(
     "text, checked, operands",
     [
-        ("1/(x-x)", parser_module._quotient, (1.0, 0.0)),
-        ("(0-1)^0.5", parser_module._power, (-1.0, 0.5)),
-        ("10^400", parser_module._power, (10.0, 400.0)),
-        ("0^(0-1)", parser_module._power, (0.0, -1.0)),
-        ("exp(1000)", parser_module._CHECKED_CALLS["exp"], (1000.0,)),
-        ("log(0)", parser_module._CHECKED_CALLS["log"], (0.0,)),
-        ("sqrt(0-1)", parser_module._CHECKED_CALLS["sqrt"], (-1.0,)),
-        ("sin(1e308*10)", parser_module._CHECKED_CALLS["sin"], (math.inf,)),
+        ("1/(x-x)", _quotient, (1.0, 0.0)),
+        ("(0-1)^0.5", _power, (-1.0, 0.5)),
+        ("10^400", _power, (10.0, 400.0)),
+        ("0^(0-1)", _power, (0.0, -1.0)),
+        ("exp(1000)", _CHECKED_CALLS["exp"], (1000.0,)),
+        ("log(0)", _CHECKED_CALLS["log"], (0.0,)),
+        ("sqrt(0-1)", _CHECKED_CALLS["sqrt"], (-1.0,)),
+        ("sin(1e308*10)", _CHECKED_CALLS["sin"], (math.inf,)),
     ],
 )
-def test_string_fault_is_the_checked_helpers_fault(text, checked, operands):
-    # the fold applies the bare operator; the replay names its fault
+def test_string_fault_is_the_checked_helpers_fault(monkeypatch, text, checked, operands):
+    # every method names a fault through the checked helper, on the same operands
     with pytest.raises(DomainFaultError) as want:
         checked(*operands)
     b = Bindings((1.0,))
-    for run in (lambda: eval_string(text, None, b), lambda: evaluate(EvalMethod.STRING_PARSE, text, b)):
+    runs = [lambda: eval_string(text, None, b), lambda: evaluate(EvalMethod.STRING_PARSE, text, b)]
+    # Under a small ``_DEEP`` the fault is met in ``_deep_value``'s checked
+    # step: at 3 on the five texts whose root it marks, at 1 on all eight.
+    for deep in (tree_module._DEEP, 3, 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(tree_module, "_DEEP", deep)
+            tree = parse_to_tree(text)
+            flat = flatten(tree)
+        runs += [lambda tree=tree: binary_value(tree, b), lambda flat=flat: nary_value(flat, b)]
+    if text in _BLACKBOX_FAULTS:
+        fid, x, y = _BLACKBOX_FAULTS[text]
+        runs.append(lambda: blackbox_lookup(fid)(x, y))
+    for run in runs:
         with pytest.raises(DomainFaultError) as got:
             run()
         assert (got.value.op, got.value.operands, str(got.value)) == (
