@@ -22,7 +22,7 @@ from .errors import (
     MethodSourceMismatchError,
     UnknownFunctionIdError,
 )
-from .parser import DEFAULT_SYMBOLS, _LEXEMES, SymbolTable, interpret_string
+from .parser import DEFAULT_SYMBOLS, SymbolTable, interpret_string, token_count
 from .tree import (
     _CHECKED_CALLS,
     UNARY_FUNCTIONS,
@@ -69,8 +69,9 @@ class EvalOutcome(NamedTuple):
 # --- black-box functions ---------------------------------------------------
 # Eight fixed routines of (x, y), expected on the unit square. Callers pick
 # one by id but have no run-time control over its body. Powers and sines go
-# through ``tree``'s checked helpers, so outside the square a routine raises
-# the same ``DomainFaultError`` as the other methods.
+# through ``tree``'s checked helpers, or a bare call replays through one on
+# its exception, so outside the square a routine raises the same
+# ``DomainFaultError`` as the other methods.
 
 _sin = _CHECKED_CALLS["sin"]
 
@@ -91,7 +92,10 @@ def _f4(x, y):
 
 
 def _f5(x, y):
-    return math.sin(x)
+    try:
+        return math.sin(x)
+    except ValueError:
+        return _sin(x)
 
 
 def _f6(x, y):
@@ -459,7 +463,7 @@ def evaluate(
     except DomainFaultError:
         if not nan_on_fault:
             raise
-        visits = (0 if method is _BLACKBOX else len(_LEXEMES(source)) if method is _STRING_PARSE
+        visits = (0 if method is _BLACKBOX else token_count(source) if method is _STRING_PARSE
                   else count_nodes(source))
         return _new_outcome(EvalOutcome, (math.nan, visits))
     raise MethodSourceMismatchError(f"unknown method {method!r}")

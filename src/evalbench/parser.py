@@ -26,14 +26,14 @@ reading order. On the value path an arithmetic exception makes the loop
 run once more with the checked actions, the helpers of ``tree``'s fault
 rule, which meet the same first fault and name it.
 
-The loop reads the bare lexeme strings of one regex scan, and ``tokenize``
-the matches of that same scan, so its token ``i`` is the loop's lexeme
-``i``. Every error exit first runs ``tokenize`` over the whole text, so a
-lexical error anywhere wins; otherwise the failing token gives the error
-its position. A symbol table holds one leaf per variable, shared by every
-tree parsed with it, and a parse makes one leaf per distinct constant
-value; nodes are immutable, so sharing changes no value, equality, hash or
-node count.
+The loop reads the bare lexeme strings of one regex scan, followed by an
+empty end sentinel, and ``tokenize`` the matches of that same scan,
+followed by END, so its token ``i`` is the loop's lexeme ``i``. Every
+error exit first runs ``tokenize`` over the whole text, so a lexical error
+anywhere wins; otherwise the failing token gives the error its position.
+A symbol table holds one leaf per variable, shared by every tree parsed
+with it, and a parse makes one leaf per distinct constant value; nodes are
+immutable, so sharing changes no value, equality, hash or node count.
 """
 
 import enum
@@ -85,17 +85,18 @@ _TOKEN = (
 )
 # The one scanner. Each match is one lexeme: a token, a run of digits, or
 # else any one non-space character. Only whitespace matches no branch
-# (``\S`` is exactly ``not str.isspace``), so the search steps over it. The
-# last match is the empty one at the end of the text. A number the token
-# branch cannot complete falls to ``[0-9]+``, so its whole run of digits
-# becomes the lexeme and the next match starts after it: the number branch
-# is tried once per run, not once per digit, and the scan stays linear.
-# What follows the run ("." or "e") is never an operator, ")" or the end, so
-# the loop stops there and ``tokenize`` reports the bad number. The loop
-# reads plain strings through ``findall``, which makes no match objects;
-# ``tokenize`` reads the same matches, with their positions, through
-# ``finditer``.
-_SCANNER = re.compile(rf"{_TOKEN}|[0-9]+|\S|\Z")
+# (``\S`` is exactly ``not str.isspace``), so the search steps over it, and
+# no match is empty: the scan ends with the text. A number the token branch
+# cannot complete falls to ``[0-9]+``, so its whole run of digits becomes
+# the lexeme and the next match starts after it: the number branch is tried
+# once per run, not once per digit, and the scan stays linear. What follows
+# the run ("." or "e") is never an operator, ")" or the end, so the loop
+# stops there and ``tokenize`` reports the bad number. The loop reads plain
+# strings through ``findall``, which makes no match objects, and stops at
+# the empty lexeme that each entry point appends to the scan as its end
+# sentinel; ``tokenize`` reads the same matches, with their positions,
+# through ``finditer``, and appends END in the sentinel's place.
+_SCANNER = re.compile(rf"{_TOKEN}|[0-9]+|\S")
 _LEXEMES = _SCANNER.findall
 # A number that cannot be completed, from its first digit up to and
 # including the "." or exponent marker where it fails. A complete number of
@@ -159,8 +160,6 @@ def tokenize(text: str) -> list[Token]:
     append = tokens.append
     for match in _SCANNER.finditer(text):
         lexeme = match[0]
-        if not lexeme:  # the empty match at the end
-            break
         position = match.start()
         tag = _LEAD.get(lexeme[0])
         if tag is TokenTag.IDENT:
@@ -182,6 +181,12 @@ def tokenize(text: str) -> list[Token]:
             raise ParseError(ParseErrorKind.UNEXPECTED_TOKEN, position, f"unexpected character {lexeme!r}")
     append(_new_token(Token, (TokenTag.END, len(text), None, None)))
     return tokens
+
+
+def token_count(text: str) -> int:
+    """``len(tokenize(text))`` for a text that lexes, END included, counted
+    from the scan alone: no ``Token`` is built."""
+    return len(_LEXEMES(text)) + 1
 
 
 # --- the grammar loop -------------------------------------------------------
@@ -381,7 +386,9 @@ def parse_to_tree(text: str, symbols: SymbolTable | None = None) -> ExprNode:
     """Parse ``text`` into a binary-form expression tree."""
     if symbols is None:
         symbols = DEFAULT_SYMBOLS
-    return _run(_LEXEMES(text), text, symbols, symbols._leaves, _Constants().__getitem__, _TREE_ACTIONS)
+    lexemes = _LEXEMES(text)
+    lexemes.append("")
+    return _run(lexemes, text, symbols, symbols._leaves, _Constants().__getitem__, _TREE_ACTIONS)
 
 
 def _value_error(err: Exception, text: str, symbols: SymbolTable, lexemes: list[str], point: tuple):
@@ -403,6 +410,7 @@ def interpret_string(text: str, symbols: SymbolTable, bindings: tuple[float, ...
     """Directly evaluate ``text``; returns (value, tokens consumed). A domain
     fault always raises; ``evaluators.evaluate`` alone turns it into NaN."""
     lexemes = _LEXEMES(text)
+    lexemes.append("")
     try:
         return _run(lexemes, text, symbols, bindings, None, _VALUE_ACTIONS), len(lexemes)
     except (ArithmeticError, ValueError, IndexError) as err:
@@ -415,6 +423,7 @@ def eval_string(text: str, symbols: SymbolTable | None = None, bindings=()) -> f
         symbols = DEFAULT_SYMBOLS
     point = Bindings(bindings)
     lexemes = _LEXEMES(text)
+    lexemes.append("")
     try:
         return _run(lexemes, text, symbols, point, None, _VALUE_ACTIONS)
     except (ArithmeticError, ValueError, IndexError) as err:

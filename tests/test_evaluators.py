@@ -232,6 +232,17 @@ def test_every_method_meets_the_same_fault_outside_the_unit_square(fid, point):
         assert first[0] == "power" and first[1] == point
 
 
+def test_blackbox_sine_of_inf_is_the_walkers_fault():
+    # e5 calls the bare sine; its exception replays through the checked call
+    with pytest.raises(DomainFaultError) as blackbox:
+        blackbox_lookup(5)(math.inf, 0.0)
+    with pytest.raises(DomainFaultError) as walker:
+        binary_value(parse_to_tree("sin(x)"), (math.inf,))
+    assert blackbox.value.op == walker.value.op == "sin"
+    assert blackbox.value.operands == walker.value.operands == (math.inf,)
+    assert str(blackbox.value) == str(walker.value)
+
+
 def test_oracle_equivalence_all_functions():
     # Both tree encodings of every suite function must match its black-box
     # routine at 1000 shared points.

@@ -456,14 +456,18 @@ def test_tokenize_matches_reference_lexer(text):
 
 @given(text=_LEXER_TEXTS)
 def test_loop_lexemes_match_tokenize(text):
-    # The grammar loop reads the scanner's lexemes, and every error it
-    # raises takes its position from ``tokenize``: lexeme i must be token i.
+    # The grammar loop reads the scanner's lexemes and the "" sentinel after
+    # them, and every error it raises takes its position from ``tokenize``:
+    # lexeme i must be token i, and the sentinel the END token.
     try:
         tokens = tokenize(text)
     except ParseError:
         return
-    lexemes = parser_module._LEXEMES(text)
-    assert len(lexemes) == len(tokens) and lexemes[-1] == ""
+    scan = parser_module._LEXEMES(text)
+    assert "" not in scan  # the scan ends with the text
+    lexemes = scan + [""]
+    assert len(lexemes) == len(tokens) == parser_module.token_count(text)
+    assert tokens[-1].tag is TokenTag.END and tokens[-1].position == len(text)
     end = 0
     for lexeme, tok in zip(lexemes, tokens):
         assert not text[end:tok.position].strip()  # only whitespace between lexemes
@@ -483,7 +487,7 @@ def test_tokenize_overlong_literals_match_reference_lexer(text):
 def test_incomplete_number_is_one_lexeme():
     # the scanner takes a digit run it cannot complete as one lexeme, so it
     # never retries the number branch from each of its digits
-    assert len(parser_module._LEXEMES("1" * 5000 + ".")) == 3
+    assert len(parser_module._LEXEMES("1" * 5000 + ".")) == 2
 
 
 @pytest.mark.parametrize("parse", [eval_string, parse_to_tree])
@@ -553,6 +557,25 @@ def test_eval_string_and_parse_to_tree_agree(text, point):
 def test_eval_string_meets_faults_and_errors_in_grammar_order(text, error):
     with pytest.raises(error):
         eval_string(text)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [("", (ParseErrorKind.UNEXPECTED_TOKEN, 0)), ("  \t\n ", (ParseErrorKind.UNEXPECTED_TOKEN, 5)),
+     ("x+  ", (ParseErrorKind.UNEXPECTED_TOKEN, 4)), (" x + y ", 0.75)],
+)
+def test_end_of_text_after_whitespace(text, want):
+    # the scan stops at the end of the text, whitespace or not; the END
+    # token, and any error met there, sits at len(text)
+    end = tokenize(text)[-1]
+    assert end.tag is TokenTag.END and end.position == len(text)
+    point = (0.5, 0.25)
+    for run in (lambda: eval_string(text, None, point), lambda: binary_value(parse_to_tree(text), point)):
+        try:
+            got = run()
+        except ParseError as err:
+            got = err.kind, err.position
+        assert got == want
 
 
 @pytest.mark.parametrize("text", ["sin (x)", "sin\t(\n x )", " sin ( x ) "])
