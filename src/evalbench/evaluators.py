@@ -22,7 +22,7 @@ from .errors import (
     MethodSourceMismatchError,
     UnknownFunctionIdError,
 )
-from .parser import DEFAULT_SYMBOLS, SymbolTable, interpret_string, token_count
+from .parser import DEFAULT_SYMBOLS, SymbolTable, interpret_string
 from .tree import (
     _CHECKED_CALLS,
     UNARY_FUNCTIONS,
@@ -459,11 +459,9 @@ def evaluate(
         if method is _STRING_PARSE:
             if not isinstance(source, str):
                 raise MethodSourceMismatchError(f"STRING_PARSE needs a string, got {type(source).__name__}")
-            return _new_outcome(EvalOutcome, interpret_string(source, symbols or DEFAULT_SYMBOLS, b))
+            return _new_outcome(EvalOutcome, interpret_string(source, symbols or DEFAULT_SYMBOLS, b, nan_on_fault))
     except DomainFaultError:
         if not nan_on_fault:
             raise
-        visits = (0 if method is _BLACKBOX else token_count(source) if method is _STRING_PARSE
-                  else count_nodes(source))
-        return _new_outcome(EvalOutcome, (math.nan, visits))
+        return _new_outcome(EvalOutcome, (math.nan, 0 if method is _BLACKBOX else count_nodes(source)))
     raise MethodSourceMismatchError(f"unknown method {method!r}")

@@ -20,11 +20,14 @@ which is the whole cost of the direct-evaluation strategy. Both run one
 operator-precedence loop (shunting-yard) with its own operand and operator
 stacks, so nesting costs no Python stack, with one of two action sets: the
 tree actions build nodes through ``tree._Node``, the value actions fold
-with the bare operators. Each reduction happens as soon as its rule is
-complete, so a domain fault and a parse error in one text are met in
-reading order. On the value path an arithmetic exception makes the loop
-run once more with the checked actions, the helpers of ``tree``'s fault
-rule, which meet the same first fault and name it.
+with the bare operators. The top operator entry and the newest operand
+live in locals and the two lists hold the rest, because CPython 3.11
+specializes a list subscript only for a non-negative index. Each
+reduction happens as soon as its rule is complete, so a domain fault and a
+parse error in one text are met in reading order. On the value path an
+arithmetic exception makes the loop run once more with the checked
+actions, the helpers of ``tree``'s fault rule, which meet the same first
+fault and name it.
 
 The loop reads the bare lexeme strings of one regex scan, followed by an
 empty end sentinel, and ``tokenize`` the matches of that same scan,
@@ -43,7 +46,7 @@ import re
 import string
 from typing import NamedTuple
 
-from .errors import ParseError, ParseErrorKind
+from .errors import DomainFaultError, ParseError, ParseErrorKind
 from .tree import (
     _CHECKED_CALLS, UNARY_FUNCTIONS, Bindings, ExprNode, OpKind, _Node, _power, _quotient, _raise_unbound,
 )
@@ -183,12 +186,6 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-def token_count(text: str) -> int:
-    """``len(tokenize(text))`` for a text that lexes, END included, counted
-    from the scan alone: no ``Token`` is built."""
-    return len(_LEXEMES(text)) + 1
-
-
 # --- the grammar loop -------------------------------------------------------
 # Operator-stack entries are (precedence, action) pairs. An incoming binary
 # operator first reduces every entry whose precedence reaches its threshold.
@@ -196,6 +193,10 @@ def token_count(text: str) -> int:
 # the bottom entry, precedence -1, marks the top level. Unary minus is the
 # only entry of precedence 3; it reduces like a binary operator, over the
 # placeholder operand it pushed, so every reduction pops one operand.
+# The top entry is the local ``top`` and the newest operand ``acc``; the
+# lists hold the rest, so a reduction is ``acc = top[1](operands.pop(),
+# acc)`` then ``top = stack.pop()``, and no list is read by a negative
+# index, which CPython 3.11 leaves a generic subscript.
 
 _IDENT, _NUMBER, _MINUS, _LPAREN = TokenTag.IDENT, TokenTag.NUMBER, TokenTag.MINUS, TokenTag.LPAREN
 # The kinds the tree actions name per node, bound once: an enum member
@@ -282,14 +283,14 @@ def _shown(tok: Token) -> str:
     return tok.tag.value if tok.text is None else tok.text
 
 
-def _missing_operand(text: str, i: int, stack: list):
+def _missing_operand(text: str, i: int, top: tuple, stack: list):
     tok = tokenize(text)[i]
     expected = "a number, variable, function or '('"
     if tok.tag is not TokenTag.END:
         raise ParseError(
             ParseErrorKind.UNEXPECTED_TOKEN, tok.position, f"unexpected {_shown(tok)!r}, expected {expected}"
         )
-    if any(entry[0] == 0 for entry in stack):  # inside a group
+    if top[0] == 0 or any(entry[0] == 0 for entry in stack):  # inside a group
         raise ParseError(ParseErrorKind.UNBALANCED_PAREN, tok.position, "missing ')'")
     raise ParseError(
         ParseErrorKind.UNEXPECTED_TOKEN, tok.position, f"unexpected end of input, expected {expected}"
@@ -318,9 +319,10 @@ def _run(lexemes: list[str], text: str, symbols: SymbolTable, variable, constant
     None, as on the value path."""
     negate, binary, calls = actions
     indices = symbols._indices
-    operands = []
-    append = operands.append
-    stack = [_TOP]
+    operands = []  # every operand but the newest, ``acc``
+    push = operands.append
+    stack = []  # every operator-stack entry but the top one, ``top``
+    top = _TOP
     i = 0
     while True:
         # Operand position: any prefix "-", "(" or "name(", then one atom.
@@ -330,54 +332,56 @@ def _run(lexemes: list[str], text: str, symbols: SymbolTable, variable, constant
         if index is not None:  # no variable is named like a function
             if lexemes[i] == "(":
                 _unknown_name(text, i - 1, "function", lexeme)
-            append(variable[index])
+            acc = variable[index]
         else:
             lead = _LEAD.get(lexeme[:1])
             if lead is _NUMBER:
                 value = float(lexeme)
                 if value == _INF:
                     tokenize(text)  # raises: the literal overflows a float
-                append(value if constant is None else constant(value))
+                acc = value if constant is None else constant(value)
             elif lead is _IDENT:
                 if lexemes[i] != "(":
                     _unknown_name(text, i - 1, "variable", lexeme)
                 call = calls.get(lexeme)
                 if call is None:
                     _unknown_name(text, i - 1, "function", lexeme)
-                stack.append(call)
+                stack.append(top)
+                top = call
                 i += 1
                 continue
             elif lead is _MINUS:
-                stack.append(negate)
-                append(None)  # the placeholder left operand
+                stack.append(top)
+                top = negate
+                push(None)  # the placeholder left operand
                 continue
             elif lead is _LPAREN:
-                stack.append(_PAREN)
+                stack.append(top)
+                top = _PAREN
                 continue
             else:
-                _missing_operand(text, i - 1, stack)
+                _missing_operand(text, i - 1, top, stack)
         # Operator position: close groups until a binary operator or the end.
         while True:
             lexeme = lexemes[i]
             i += 1
             threshold, entry = binary.get(lexeme, _CLOSE)
-            top = stack[-1]
             while top[0] >= threshold:
-                del stack[-1]
-                right = operands.pop()
-                operands[-1] = top[1](operands[-1], right)
-                top = stack[-1]
+                acc = top[1](operands.pop(), acc)
+                top = stack.pop()
             if entry is not None:
-                stack.append(entry)
+                push(acc)
+                stack.append(top)
+                top = entry
                 break
             # ")", the end or a stray lexeme: the innermost group is complete.
             if top is _TOP:
                 if not lexeme:
-                    return operands[0]
+                    return acc
             elif lexeme == ")":
-                del stack[-1]
                 if top[1] is not None:
-                    operands[-1] = top[1](operands[-1])
+                    acc = top[1](acc)
+                top = stack.pop()
                 continue
             _unexpected_operator(text, i - 1, top)
 
@@ -406,15 +410,23 @@ def _value_error(err: Exception, text: str, symbols: SymbolTable, lexemes: list[
     raise err
 
 
-def interpret_string(text: str, symbols: SymbolTable, bindings: tuple[float, ...]) -> tuple[float, int]:
+def interpret_string(
+    text: str, symbols: SymbolTable, bindings: tuple[float, ...], nan_on_fault: bool = False
+) -> tuple[float, int]:
     """Directly evaluate ``text``; returns (value, tokens consumed). A domain
-    fault always raises; ``evaluators.evaluate`` alone turns it into NaN."""
+    fault raises, or with ``nan_on_fault`` gives NaN; see ``tree``'s fault
+    rule."""
     lexemes = _LEXEMES(text)
     lexemes.append("")
     try:
         return _run(lexemes, text, symbols, bindings, None, _VALUE_ACTIONS), len(lexemes)
     except (ArithmeticError, ValueError, IndexError) as err:
-        _value_error(err, text, symbols, lexemes, bindings)
+        try:
+            _value_error(err, text, symbols, lexemes, bindings)
+        except DomainFaultError:
+            if not nan_on_fault:
+                raise
+            return math.nan, len(lexemes)
 
 
 def eval_string(text: str, symbols: SymbolTable | None = None, bindings=()) -> float:

@@ -61,8 +61,10 @@ UNARY_FUNCTIONS = {
 # ``OverflowError``) is a domain fault, and the checked helpers below raise
 # it as ``DomainFaultError(op, operands)``. No other code builds one, so all
 # four methods name a fault alike. Timed paths apply the bare operator and,
-# on its exception, hand the same operands to the helper, which names it;
-# ``evaluators.evaluate`` is the one place where a fault becomes NaN.
+# on its exception, hand the same operands to the helper, which names it.
+# A fault becomes NaN only under ``evaluators.evaluate``'s ``nan_on_fault``;
+# for a string, ``evaluate`` passes it to ``parser.interpret_string``, whose
+# one scan then gives ``visits``.
 
 
 def _quotient(num: float, den: float) -> float:

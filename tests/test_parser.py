@@ -1,3 +1,4 @@
+import dis
 import math
 import random
 import sys
@@ -165,6 +166,27 @@ def test_parse_errors(text, kind, pos):
     assert exc.value.position == pos
     # the reported offset is the first offending character: the prefix lexes
     tokenize(text[: exc.value.position])
+
+
+@pytest.mark.parametrize("text", ["(", "sin(", "-(", "2*(x+sin(", "(((x)"])
+def test_unclosed_group_whose_marker_is_the_top_entry(text):
+    # the innermost open "(" or "name(" is the loop's top entry, held apart
+    # from the rest of the operator stack; the end of text still finds it
+    runs = (lambda: eval_string(text, None, (0.5, 0.25)),
+            lambda: interpret_string(text, parser_module.DEFAULT_SYMBOLS, (0.5, 0.25)),
+            lambda: parse_to_tree(text))
+    for run in runs:
+        with pytest.raises(ParseError) as exc:
+            run()
+        assert (exc.value.kind, exc.value.position) == (ParseErrorKind.UNBALANCED_PAREN, len(text))
+
+
+def test_grammar_loop_reads_no_list_by_a_negative_index():
+    # CPython 3.11 specializes a list subscript only for a non-negative int
+    # index, so the loop keeps its stack tops in locals; ``stack[-1]`` or
+    # ``operands[-1]`` would load the constant -1
+    loaded = [ins.argval for ins in dis.get_instructions(parser_module._run) if ins.opname == "LOAD_CONST"]
+    assert -1 not in loaded
 
 
 def test_function_call_parses():
@@ -466,7 +488,7 @@ def test_loop_lexemes_match_tokenize(text):
     scan = parser_module._LEXEMES(text)
     assert "" not in scan  # the scan ends with the text
     lexemes = scan + [""]
-    assert len(lexemes) == len(tokens) == parser_module.token_count(text)
+    assert len(lexemes) == len(tokens)
     assert tokens[-1].tag is TokenTag.END and tokens[-1].position == len(text)
     end = 0
     for lexeme, tok in zip(lexemes, tokens):
@@ -594,29 +616,37 @@ def test_string_visits_are_the_token_count(text, nan_on_fault):
 
 
 def test_faulting_string_is_tokenized_once(monkeypatch):
-    calls = []
+    calls = []  # tokenize
+    scans = []  # the loop's scan
+    scan = parser_module._LEXEMES
 
     def counted(text):
         calls.append(text)
         return tokenize(text)
 
+    def scanned(text):
+        scans.append(text)
+        return scan(text)
+
     monkeypatch.setattr(parser_module, "tokenize", counted)
     monkeypatch.setattr(evaluators_module, "tokenize", counted, raising=False)
+    monkeypatch.setattr(parser_module, "_LEXEMES", scanned)
     outcome = evaluate(EvalMethod.STRING_PARSE, "log(x-x)+y", Bindings((0.5, 2.0)), nan_on_fault=True)
     assert math.isnan(outcome.value) and outcome.visits == len(tokenize("log(x-x)+y"))
-    assert calls == ["log(x-x)+y"]
+    # the NaN path counts ``visits`` from the scan it made
+    assert calls == scans == ["log(x-x)+y"]
     with pytest.raises(DomainFaultError):
         eval_string("log(x-x)+y", None, (0.5, 2.0))
-    assert calls == ["log(x-x)+y"] * 2
+    assert calls == scans == ["log(x-x)+y"] * 2
     with pytest.raises(UnboundVariableError):
         eval_string("x+y", None, (0.5,))
-    assert calls == ["log(x-x)+y"] * 2 + ["x+y"]
+    assert calls == scans == ["log(x-x)+y"] * 2 + ["x+y"]
     # the checked replay of a domain fault scans no more than the fold did
     for text in ("-x/(x-x)", "(0-x)^0.5", "-sqrt(-x)+@"):
-        del calls[:]
+        del calls[:], scans[:]
         with pytest.raises((DomainFaultError, ParseError)):
             eval_string(text, None, (0.5, 2.0))
-        assert calls == [text]
+        assert calls == scans == [text]
 
 
 # Texts for the differential test against the Token-based grammar loop:
