@@ -24,6 +24,7 @@ from .errors import (
 )
 from .parser import DEFAULT_SYMBOLS, SymbolTable, interpret_string
 from .tree import (
+    _BAD_ARITY,
     _CHECKED_CALLS,
     UNARY_FUNCTIONS,
     _DEEP_OP,
@@ -147,8 +148,9 @@ def _walker(folds: bool):
     The leaf-in-place rule: an operand that is a leaf, under any operator,
     is read in place (``bindings[node._arg]`` or ``node._arg``), not walked,
     so a walker is entered only at interior nodes and at the root.
-    Fixed-arity operands are indexed, so a node built directly with too few
-    children raises ``IndexError``.
+    Operands are read from the slots that ``tree._Slots``'s layout rule
+    names, and a node built directly with a child count its kind cannot
+    take raises ``IndexError``, too few and too many alike.
 
     The one-call-per-collapsed-node rule: a sum or product of two children
     runs the same code in both walkers; only the nodes ``flatten`` merged
@@ -165,12 +167,11 @@ def _walker(folds: bool):
         # the root) late, and a deep node, met only at the root, last.
         op = node._op
         if op is _POWER:
-            children = node.children
-            child = children[0]
+            child = node._left
             k = child._op
             base = (bindings[child._arg] if k is _VARIABLE
                     else child._arg if k is _CONSTANT else walk(child, bindings))
-            child = children[1]
+            child = node._right
             k = child._op
             exponent = (bindings[child._arg] if k is _VARIABLE
                         else child._arg if k is _CONSTANT else walk(child, bindings))
@@ -180,40 +181,42 @@ def _walker(folds: bool):
                 return _power(base, exponent)
         if op is _SUM_FOLD:
             if not folds:
-                raise ArityMismatchError(_SUM, len(node.children), "exactly 2 (binary form)")
+                raise ArityMismatchError(_SUM, len(node._right), "exactly 2 (binary form)")
             ret = -0.0  # the exact additive identity: -0.0 + v is v, sign of zero included
-            for child in node.children:
+            for child in node._right:  # a fold's children tuple
                 k = child._op
                 ret += (bindings[child._arg] if k is _VARIABLE
                         else child._arg if k is _CONSTANT else walk(child, bindings))
             return ret
         if op is _SUM:
-            left, right = node.children
+            left = node._left
             k = left._op
             a = (bindings[left._arg] if k is _VARIABLE
                  else left._arg if k is _CONSTANT else walk(left, bindings))
+            right = node._right
             k = right._op
             return a + (bindings[right._arg] if k is _VARIABLE
                         else right._arg if k is _CONSTANT else walk(right, bindings))
         if op is _PRODUCT_FOLD:
             if not folds:
-                raise ArityMismatchError(_PRODUCT, len(node.children), "exactly 2 (binary form)")
+                raise ArityMismatchError(_PRODUCT, len(node._right), "exactly 2 (binary form)")
             ret = 1.0
-            for child in node.children:
+            for child in node._right:
                 k = child._op
                 ret *= (bindings[child._arg] if k is _VARIABLE
                         else child._arg if k is _CONSTANT else walk(child, bindings))
             return ret
         if op is _PRODUCT:
-            left, right = node.children
+            left = node._left
             k = left._op
             a = (bindings[left._arg] if k is _VARIABLE
                  else left._arg if k is _CONSTANT else walk(left, bindings))
+            right = node._right
             k = right._op
             return a * (bindings[right._arg] if k is _VARIABLE
                         else right._arg if k is _CONSTANT else walk(right, bindings))
         if op is _UNARY_FN:
-            child = node.children[0]
+            child = node._left
             k = child._op
             arg = (bindings[child._arg] if k is _VARIABLE
                    else child._arg if k is _CONSTANT else walk(child, bindings))
@@ -224,22 +227,20 @@ def _walker(folds: bool):
         if op is _VARIABLE:
             return bindings[node._arg]
         if op is _DIFFERENCE:
-            children = node.children
-            child = children[0]
+            child = node._left
             k = child._op
             a = (bindings[child._arg] if k is _VARIABLE
                  else child._arg if k is _CONSTANT else walk(child, bindings))
-            child = children[1]
+            child = node._right
             k = child._op
             return a - (bindings[child._arg] if k is _VARIABLE
                         else child._arg if k is _CONSTANT else walk(child, bindings))
         if op is _QUOTIENT:
-            children = node.children
-            child = children[0]
+            child = node._left
             k = child._op
             num = (bindings[child._arg] if k is _VARIABLE
                    else child._arg if k is _CONSTANT else walk(child, bindings))
-            child = children[1]
+            child = node._right
             k = child._op
             den = (bindings[child._arg] if k is _VARIABLE
                    else child._arg if k is _CONSTANT else walk(child, bindings))
@@ -248,7 +249,7 @@ def _walker(folds: bool):
             except ZeroDivisionError:
                 return _quotient(num, den)
         if op is _NEGATE:
-            child = node.children[0]
+            child = node._left
             k = child._op
             return -(bindings[child._arg] if k is _VARIABLE
                      else child._arg if k is _CONSTANT else walk(child, bindings))
@@ -256,6 +257,8 @@ def _walker(folds: bool):
             return node._arg
         if op is _DEEP_OP:
             return _deep_value(node, bindings, walk)
+        if op is _BAD_ARITY:
+            raise IndexError(f"{node.kind} node with {len(node._right)} children")
         raise TypeError(f"not a node kind: {node.kind!r}")
 
     return walk
@@ -298,14 +301,19 @@ def _deep_value(node: ExprNode, bindings: tuple[float, ...], walker) -> float:
             operands = _spine(child, binary)
             n = len(operands)
             acc = -0.0 if kind is _SUM else 1.0
-        else:  # fixed arity, indexed as the walker does
+        elif child._left is None:  # a child count the kind cannot take, as in the walker
+            raise IndexError(f"{kind} node with {len(child._right)} children")
+        else:  # fixed arity
             operands = child.children
-            n = 1 if kind is _NEGATE or kind is _UNARY_FN else 2
+            n = len(operands)
         while True:  # take node's operands from i up to a marked one, finishing every node completed
             if i == n:  # node is complete: its value is its parent's next operand
                 value = acc
-                node, operands, n, i, acc = stack[-5:]
-                del stack[-5:]
+                acc = stack.pop()
+                i = stack.pop()
+                n = stack.pop()
+                operands = stack.pop()
+                node = stack.pop()
                 if node is None:
                     return value
                 kind = node.kind
@@ -367,16 +375,16 @@ def _spine(node: ExprNode, binary: bool) -> list:
     kind = node.kind
     operands = []  # the spine's later operands, last first
     while True:
-        children = node.children
-        try:
-            node, right = children
-        except ValueError:  # not two children
+        left = node._left
+        if left is None:  # a fold keeps its children tuple
+            children = node._right
             if binary:
-                raise ArityMismatchError(kind, len(children), "exactly 2 (binary form)") from None
+                raise ArityMismatchError(kind, len(children), "exactly 2 (binary form)")
             operands += children[:0:-1]
             node = children[0]
         else:
-            operands.append(right)
+            operands.append(node._right)
+            node = left
         if node._op is not _DEEP_OP or node.kind is not kind:
             break
     operands.append(node)

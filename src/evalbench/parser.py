@@ -19,13 +19,13 @@ values while it parses and allocates no tree, re-scanning on every call,
 which is the whole cost of the direct-evaluation strategy. Both run one
 operator-precedence loop (shunting-yard) with its own operand and operator
 stacks, so nesting costs no Python stack, with one of two action sets: the
-tree actions build nodes through ``tree._Node``, the value actions fold
-with the bare operators. The top operator entry and the newest operand
-live in locals and the two lists hold the rest, because CPython 3.11
-specializes a list subscript only for a non-negative index. Each
-reduction happens as soon as its rule is complete, so a domain fault and a
-parse error in one text are met in reading order. On the value path an
-arithmetic exception makes the loop run once more with the checked
+tree actions hand their operands to ``tree._Node``, with no child tuple,
+and the value actions fold with the bare operators. The top operator entry
+and the newest operand live in locals and the two lists hold the rest,
+because CPython 3.11 specializes a list subscript only for a non-negative
+index. Each reduction happens as soon as its rule is complete, so a domain
+fault and a parse error in one text are met in reading order. On the value
+path an arithmetic exception makes the loop run once more with the checked
 actions, the helpers of ``tree``'s fault rule, which meet the same first
 fault and name it.
 
@@ -137,7 +137,7 @@ class SymbolTable:
             seen.add(name)
         self._names = names
         self._indices = {name: i for i, name in enumerate(names)}
-        self._leaves = tuple(_Node(OpKind.VARIABLE, i, (), 1) for i in range(len(names)))
+        self._leaves = tuple(_Node(OpKind.VARIABLE, i, 1, ()) for i in range(len(names)))
 
     @property
     def variable_names(self) -> tuple[str, ...]:
@@ -210,11 +210,11 @@ _INF = math.inf
 
 
 def _tree_binary(kind: OpKind):
-    return lambda left, right: _Node(kind, None, (left, right), left._size + right._size + 1)
+    return lambda left, right: _Node(kind, None, left._size + right._size + 1, None, left, right)
 
 
 def _tree_call(name: str):
-    return lambda arg: _Node(_UNARY_FN, name, (arg,), arg._size + 1)
+    return lambda arg: _Node(_UNARY_FN, name, arg._size + 1, None, arg)
 
 
 def _negative(_, arg: float) -> float:
@@ -252,7 +252,7 @@ def _fold_actions(checked: dict, calls: dict) -> _Actions:
 
 
 _TREE_ACTIONS = _Actions(
-    (_NEGATE_PRECEDENCE, lambda _, arg: _Node(_NEGATE, None, (arg,), arg._size + 1)),
+    (_NEGATE_PRECEDENCE, lambda _, arg: _Node(_NEGATE, None, arg._size + 1, None, arg)),
     {lexeme: (threshold, (prec, _tree_binary(kind)))
      for lexeme, (threshold, prec, kind, _) in _BINARY.items()},
     {name: (0, _tree_call(name)) for name in UNARY_FUNCTIONS},
@@ -269,7 +269,7 @@ class _Constants(dict):
     __slots__ = ()
 
     def __missing__(self, value: float) -> ExprNode:
-        leaf = self[value] = _Node(_CONSTANT, value, (), 1)
+        leaf = self[value] = _Node(_CONSTANT, value, 1, ())
         return leaf
 
 

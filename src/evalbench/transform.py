@@ -9,7 +9,9 @@ It follows ``tree._DEEP``'s rule: ``_operands`` flattens unmarked subtrees
 by recursion, one frame per tree level, and ``_flatten_deep`` expands the
 marked nodes on an explicit stack. A subtree with nothing to merge is
 shared with the input, not copied, so flattening a flat tree returns the
-tree itself. New nodes are built through ``tree._Node``, which checks nothing.
+tree itself. Operands are read from the slots that ``tree._Slots``'s layout
+rule names, and new nodes are built through ``tree._Node``, which checks
+nothing.
 """
 
 from operator import attrgetter, is_
@@ -35,28 +37,29 @@ def flatten(tree: ExprNode) -> ExprNode:
     if tree._op is _DEEP_OP:
         return _flatten_deep(tree)
     out: list[ExprNode] = []
-    _operands((tree,), None, out)
+    _operands(tree, None, None, out)  # the tree as a lone operand
     return out[0]
 
 
-def _operands(children: tuple, kind: OpKind | None, out: list) -> bool:
-    """Append to ``out`` the flattened operands of a node of ``kind`` over
-    ``children``, left to right; True unless they are ``children`` itself.
-    ``kind`` is the node's own kind for a sum or product, whose like children
-    are merged into it, and None for every other kind, which never merges.
-    An operand of another kind is entered, and rebuilt if anything under it
-    merged, only if it has at least ``_MERGEABLE`` nodes."""
+def _operands(left, right, kind: OpKind | None, out: list) -> bool:
+    """Append to ``out`` the flattened operands of a node of ``kind`` whose
+    operand slots hold ``left`` and ``right``, left to right; True unless
+    they are that node's children themselves. ``kind`` is the node's own
+    kind for a sum or product, whose like children are merged into it, and
+    None for every other kind, which never merges. An operand of another
+    kind is entered, and rebuilt if anything under it merged, only if it
+    has at least ``_MERGEABLE`` nodes."""
     merged = False
-    for child in children:
+    for child in right if left is None else (left,) if right is None else (left, right):
         if child.kind is kind:
-            _operands(child.children, kind, out)
+            _operands(child._left, child._right, kind, out)
             merged = True
             continue
         if child._size >= _MERGEABLE:
             own = child.kind
             kids = []
-            if _operands(child.children, own if own is _SUM or own is _PRODUCT else None, kids):
-                child = _Node(own, child._arg, tuple(kids), sum(map(_size, kids), 1))
+            if _operands(child._left, child._right, own if own is _SUM or own is _PRODUCT else None, kids):
+                child = _Node(own, child._arg, sum(map(_size, kids), 1), tuple(kids))
                 merged = True
         out.append(child)
     return merged
@@ -85,10 +88,12 @@ def _flatten_deep(tree: ExprNode) -> ExprNode:
         pending.reverse()
         while pending:
             child = pending.pop()
-            if child.kind is kind:
-                pending.extend(reversed(child.children))
-            else:
+            if child.kind is not kind:
                 stack.append(child)
+            elif child._left is None:  # a fold keeps its children tuple
+                pending.extend(reversed(child._right))
+            else:
+                pending += child._right, child._left
         counts.append(len(stack) - start)
     # Pass 2, the reverse: post-order, so each node's results lie on top of
     # ``built``, left to right.
@@ -98,7 +103,7 @@ def _flatten_deep(tree: ExprNode) -> ExprNode:
             if node._size < _MERGEABLE:
                 built.append(node)
             else:
-                _operands((node,), None, built)
+                _operands(node, None, None, built)
             continue
         children = node.children
         n = counts.pop()
@@ -107,7 +112,7 @@ def _flatten_deep(tree: ExprNode) -> ExprNode:
         if n == len(children) and all(map(is_, kids, children)):
             built.append(node)
             continue
-        built.append(_Node(node.kind, node._arg, tuple(kids), sum(map(_size, kids), 1)))
+        built.append(_Node(node.kind, node._arg, sum(map(_size, kids), 1), tuple(kids)))
     return built[0]
 
 

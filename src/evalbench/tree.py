@@ -1,7 +1,8 @@
 """Expression-tree data model shared by every evaluation strategy.
 
-A tree node carries an operator kind, one payload and an ordered child
-tuple. The payload is a constant's value, a variable's index or a
+A tree node carries an operator kind, one payload and its ordered
+children, which ``children`` reads as a tuple; ``_Slots`` says where a
+node keeps them. The payload is a constant's value, a variable's index or a
 function's name; the public fields ``value``, ``var_index`` and ``fn_name``
 read it, each ``None`` where the kind does not use it. Nodes are immutable
 after construction; the ``make_*`` constructors validate the arity rules
@@ -11,17 +12,17 @@ Every node also stores its subtree's node count when it is built, so
 ``count_nodes`` is O(1). A subtree shared by several parents counts once
 per occurrence, exactly as a walk would enter it.
 
-Every node is built by one route, ``_Node(kind, arg, children, size)``:
-``make_*``, ``ExprNode(...)``, the parser, ``flatten`` and ``_rebuild``
-(pickling and copying) all end there. It checks nothing and takes the
-node count from its caller, so only code whose own input rules guarantee
-the arity rules calls it directly: the parser (the lexer rejects
-non-finite constants, the symbol table admits only known function names
-and the grammar fixes every arity), ``flatten`` (which only regroups a
-valid tree's children) and ``_rebuild``. Public callers use ``make_*``;
-``ExprNode(...)`` is not checked. ``_Node`` alone sets the private opcode
-``_op`` the walkers dispatch on, derived from the other fields, so
-equality, hashing, ``repr`` and pickling ignore it.
+Every node is built by one route, ``_Node``: ``make_*``, ``ExprNode(...)``,
+the parser, ``flatten`` and ``_rebuild`` (pickling and copying) all end
+there. It checks nothing and takes the node count from its caller, so only
+code whose own input rules guarantee the arity rules calls it directly: the
+parser (the lexer rejects non-finite constants, the symbol table admits
+only known function names and the grammar fixes every arity), ``flatten``
+(which only regroups a valid tree's children) and ``_rebuild``. Public
+callers use ``make_*``; ``ExprNode(...)`` is not checked. ``_Node`` alone
+chooses a node's layout and sets the private opcode ``_op`` the walkers
+dispatch on, both derived from the other fields, so equality, hashing,
+``repr`` and pickling ignore them.
 
 A point is an exact ``tuple`` of finite floats, which ``Bindings`` builds
 and checks. It is a plain tuple, not a subclass, so that CPython
@@ -124,6 +125,10 @@ _ARITY = {
     OpKind.NEGATE: (1, 1),
     OpKind.UNARY_FN: (1, 1),
 }
+# The interior kinds, by the child count that they keep in the operand
+# slots: their least. Tuples, not a dict: an enum member hashes in Python.
+_TWO_OPERANDS = tuple(kind for kind, (lo, _) in _ARITY.items() if lo == 2)
+_ONE_OPERAND = tuple(kind for kind, (lo, _) in _ARITY.items() if lo == 1)
 
 
 _CONSTANT = OpKind.CONSTANT
@@ -143,43 +148,74 @@ _PRODUCT = OpKind.PRODUCT
 _DEEP = 300
 
 # The ``_op`` markers that stand in for a node's kind: a node marked by
-# ``_DEEP``'s rule, and a sum or product with other than two children.
+# ``_DEEP``'s rule, a sum or product with other than two children, and a
+# node of another interior kind whose child count that kind cannot take.
 _DEEP_OP = "deep"
 _SUM_FOLD = "sum-fold"
 _PRODUCT_FOLD = "product-fold"
+_BAD_ARITY = "bad-arity"
 
 
 class _Slots:
-    """A node's five slots, with no ``__init__``: ``_Node`` allocates a
+    """A node's six slots, with no ``__init__``: ``_Node`` allocates a
     node as one and re-classes it once its slots are filled.
 
     ``_arg`` is the payload: a constant's value, a variable's index, a
-    function call's name, or None. One slot for all three keeps a node at
-    five slots, inside the allocator's 80-byte class."""
+    function call's name, or None. One slot for all three leaves room for
+    the operand slots inside the allocator's 80-byte class.
 
-    __slots__ = ("kind", "_arg", "children", "_size", "_op")
+    The layout rule: a sum, product, difference, quotient or power of two
+    children, and a negation or function call of one, keep them in
+    ``_left`` and ``_right`` (None for one), so the node is one object and
+    has no child tuple. Every other node, a leaf, a fold or a node whose
+    child count its kind cannot take, has ``_left`` None and its children
+    tuple in ``_right``. ``ExprNode.children`` reads either back as a
+    tuple."""
+
+    __slots__ = ("kind", "_arg", "_size", "_op", "_left", "_right")
 
 
-def _Node(kind, arg, children, size):
-    """The node over the given fields, unchecked (see the module docstring).
+def _Node(kind, arg, size, children, left=None, right=None):
+    """The node over the given fields, unchecked (see the module docstring),
+    laid out by ``_Slots``'s rule: over the tuple ``children``, or, if that
+    is None, over the operands ``left`` and, for two, ``right``, which the
+    caller gives only where that rule keeps them.
 
     ``_op`` is the node's kind, except that a node marked by ``_DEEP``'s
-    rule gets ``_DEEP_OP``, and otherwise a sum or product with other than
-    exactly two children gets ``_SUM_FOLD`` or ``_PRODUCT_FOLD``: only the
-    nodes ``flatten`` merged fold."""
+    rule gets ``_DEEP_OP``, and otherwise a node that keeps a children tuple
+    gets ``_SUM_FOLD`` or ``_PRODUCT_FOLD`` if it is a sum or product, so
+    only the nodes ``flatten`` merged fold, and ``_BAD_ARITY`` if it is of
+    another interior kind."""
+    if children:
+        n = len(children)
+        if n == 2 and kind in _TWO_OPERANDS:
+            left, right = children
+        elif n == 1 and kind in _ONE_OPERAND:
+            left = children[0]
     node = _Slots()
     node.kind = kind
     node._arg = arg
-    node.children = children
     node._size = size
     op = kind
-    if (kind is _SUM or kind is _PRODUCT) and len(children) != 2:
-        op = _SUM_FOLD if kind is _SUM else _PRODUCT_FOLD
-    if size > _DEEP:
-        for child in children:
-            if child._size >= _DEEP:
-                op = _DEEP_OP
-                break
+    if left is None:
+        node._left = None
+        node._right = children
+        if kind is _SUM:
+            op = _SUM_FOLD
+        elif kind is _PRODUCT:
+            op = _PRODUCT_FOLD
+        elif kind is not _CONSTANT and kind is not _VARIABLE and kind in _ARITY:
+            op = _BAD_ARITY
+        if size > _DEEP:
+            for child in children:
+                if child._size >= _DEEP:
+                    op = _DEEP_OP
+                    break
+    else:
+        node._left = left
+        node._right = right
+        if size > _DEEP and (left._size >= _DEEP or right is not None and right._size >= _DEEP):
+            op = _DEEP_OP
     node._op = op
     node.__class__ = ExprNode
     return node
@@ -196,7 +232,18 @@ class ExprNode(_Slots):
     def __new__(cls, kind, value=None, var_index=None, fn_name=None, children=()):
         arg = (value if kind is _CONSTANT else var_index if kind is _VARIABLE
                else fn_name if kind is _UNARY_FN else None)
-        return _Node(kind, arg, children, 1 + sum(child._size for child in children))
+        children = tuple(children)
+        return _Node(kind, arg, 1 + sum(child._size for child in children), children)
+
+    @property
+    def children(self) -> tuple:
+        """The node's children, in order: a tuple equal on every read, built
+        afresh on each read of a node that keeps them in its operand slots."""
+        left = self._left
+        if left is None:
+            return self._right
+        right = self._right
+        return (left,) if right is None else (left, right)
 
     @property
     def value(self) -> float | None:
@@ -246,7 +293,7 @@ def _rebuild(shapes: tuple) -> ExprNode:
     for kind, arg, n in reversed(shapes):
         children = tuple(built[:-n - 1:-1])
         del built[len(built) - n:]
-        built.append(_Node(kind, arg, children, 1 + sum(c._size for c in children)))
+        built.append(_Node(kind, arg, 1 + sum(c._size for c in children), children))
     return built[0]
 
 

@@ -133,17 +133,28 @@ def test_unbound_variable_index_at_every_entry_point(entry, values):
 
 
 def test_malformed_tree_index_error_is_not_relabelled():
-    # fixed-arity operands are indexed, not unpacked: too few children is an
-    # IndexError, never a ValueError or an unbound variable
+    # a fixed-arity node with too few children is an IndexError, never a
+    # ValueError or an unbound variable
     x = make_variable(0)
     malformed = [ExprNode(OpKind.NEGATE), ExprNode(OpKind.UNARY_FN, fn_name="sin"), ExprNode(OpKind.POWER)]
     malformed += [ExprNode(kind, children=(x,)) for kind in (OpKind.DIFFERENCE, OpKind.QUOTIENT, OpKind.POWER)]
+    # and so is one with too many, which is not half-read; a child marked
+    # deep sends the node to the explicit-stack loop, which rejects both alike
+    y, deep = make_variable(1), parse_to_tree("-".join(["x"] * 200))
+    assert deep._op is tree_module._DEEP_OP
+    malformed.append(ExprNode(OpKind.DIFFERENCE, children=(deep,)))
+    too_many = [ExprNode(OpKind.POWER, children=(x, y, x)), ExprNode(OpKind.NEGATE, children=(x, y)),
+                ExprNode(OpKind.UNARY_FN, fn_name="sin", children=(x, y)), ExprNode(OpKind.POWER, children=(deep, y, x)),
+                ExprNode(OpKind.NEGATE, children=(deep, y))]
     for ev in (eval_binary, eval_nary):
         with pytest.raises(IndexError):
             ev(ExprNode(OpKind.NEGATE), Bindings())
         for node in malformed:
             with pytest.raises(IndexError):
                 ev(node, Bindings((0.5,)))
+        for node in too_many:
+            with pytest.raises(IndexError):
+                ev(node, Bindings((0.5, 2.0)))
         with pytest.raises(TypeError):  # not a RecursionError
             ev(ExprNode("bogus"), Bindings())
 

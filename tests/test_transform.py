@@ -254,12 +254,14 @@ def test_flatten_enters_no_subtree_too_small_to_merge(deep, tree):
     gathered, active = [], []
     operands = transform_module._operands
 
-    def gather(children, kind, out):
+    def gather(left, right, kind, out):
+        # the operand slots, as ``tree._Slots`` lays them out
+        children = right if left is None else (left,) if right is None else (left, right)
         if active:
             gathered.append((active[-1], kind, 1 + sum(map(count_nodes, children))))
         active.append(kind)
         try:
-            return operands(children, kind, out)
+            return operands(left, right, kind, out)
         finally:
             active.pop()
 

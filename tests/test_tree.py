@@ -1,9 +1,11 @@
 import copy
 import dataclasses
+import gc
 import math
 import pickle
 import random
 import sys
+import tracemalloc
 import types
 
 import pytest
@@ -132,7 +134,7 @@ def test_nodes_are_immutable():
         node.value = 2.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         node.children = ()
-    for field in ("kind", "value", "var_index", "fn_name", "_arg", "children", "_size", "_op"):
+    for field in ("kind", "value", "var_index", "fn_name", "_arg", "children", "_size", "_op", "_left", "_right"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(node, field, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -161,10 +163,44 @@ def test_payload_fields_are_none_where_the_kind_does_not_use_them():
 
 def test_nodes_fit_the_80_byte_allocation_class():
     # CPython's allocator rounds an object up to a multiple of 16 bytes, so
-    # 72 bytes is the most that stays in the 80-byte class.
-    tree = parse_to_tree("sin(x) + 2")
+    # 80 bytes is the most that stays in the 80-byte class: six slots fit,
+    # and a seventh (88 bytes) would take the 96-byte class.
+    tree = flatten(parse_to_tree("sin(x) + 2 + -y"))
     for node, _ in _preorder(tree):
-        assert sys.getsizeof(node) <= 72
+        assert sys.getsizeof(node) <= 80
+
+
+def test_a_parsed_node_is_one_object():
+    # A two-operand node keeps its operands in its own slots, so a parse
+    # keeps one object that the collector tracks, and one 80-byte block,
+    # per interior node. 100 terms keep every stored size below 257, so no
+    # size is a new int object.
+    text = "+".join(["x", "y"] * 50)
+    interior = count_nodes(parse_to_tree(text)) // 2
+    assert interior == 99
+    gc.collect()
+    before = len(gc.get_objects())
+    tree = parse_to_tree(text)
+    assert (len(gc.get_objects()) - before) / interior <= 1.1
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        again = parse_to_tree(text)
+        assert (tracemalloc.get_traced_memory()[0] - start) / interior <= 84
+    finally:
+        tracemalloc.stop()
+    assert again == tree
+
+
+def test_children_is_a_tuple_equal_on_every_read():
+    x = make_variable(0)
+    negation = make_op(OpKind.NEGATE, (x,))
+    binary = make_op(OpKind.POWER, (negation, x))
+    fold = make_op(OpKind.SUM, (x, binary, x))
+    for node, want in ((x, ()), (negation, (x,)), (binary, (negation, x)), (fold, (x, binary, x))):
+        first, second = node.children, node.children
+        assert type(first) is tuple and first == second == want
+        assert all(a is b for a, b in zip(first, want))
 
 
 def test_one_leaf_per_variable_and_per_constant_value_within_a_parse():
