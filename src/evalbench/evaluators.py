@@ -148,9 +148,14 @@ def _walker(folds: bool):
     The leaf-in-place rule: an operand that is a leaf, under any operator,
     is read in place (``bindings[node._arg]`` or ``node._arg``), not walked,
     so a walker is entered only at interior nodes and at the root.
-    Operands are read from the slots that ``tree._Slots``'s layout rule
-    names, and a node built directly with a child count its kind cannot
-    take raises ``IndexError``, too few and too many alike.
+
+    The layout-first rule: a walker branches on ``tree._Slots``'s layout
+    before it tests an opcode. A node with operand slots carries only its
+    kind or ``_DEEP_OP``, and any other node only a fold, a leaf,
+    ``_DEEP_OP`` or ``_BAD_ARITY``, so no node tests the other layout's
+    opcodes and a root leaf passes no interior kind's test. A node built
+    directly with a child count its kind cannot take raises ``IndexError``,
+    too few and too many alike.
 
     The one-call-per-collapsed-node rule: a sum or product of two children
     runs the same code in both walkers; only the nodes ``flatten`` merged
@@ -162,34 +167,54 @@ def _walker(folds: bool):
     form saves fewer calls than nodes; ``_walk_counts`` gives both."""
 
     def walk(node, bindings):
-        # Branches by how often the benchmark workloads meet them: power
-        # first, each fold ahead of its two-child form, leaves (met only at
-        # the root) late, and a deep node, met only at the root, last.
+        # Within each layout, branches by how often the benchmark workloads
+        # meet them. Children tuple: sum-fold, product-fold, the leaves (met
+        # only at the root), a deep fold, a bad arity, then a kind that is no
+        # kind. Operand slots: power, sum, product, function, difference,
+        # quotient, negation, then a deep node, met only at the root.
         op = node._op
+        left = node._left
+        if left is None:
+            if op is _SUM_FOLD:
+                if not folds:
+                    raise ArityMismatchError(_SUM, len(node._right), "exactly 2 (binary form)")
+                ret = -0.0  # the exact additive identity: -0.0 + v is v, sign of zero included
+                for child in node._right:  # a fold's children tuple
+                    k = child._op
+                    ret += (bindings[child._arg] if k is _VARIABLE
+                            else child._arg if k is _CONSTANT else walk(child, bindings))
+                return ret
+            if op is _PRODUCT_FOLD:
+                if not folds:
+                    raise ArityMismatchError(_PRODUCT, len(node._right), "exactly 2 (binary form)")
+                ret = 1.0
+                for child in node._right:
+                    k = child._op
+                    ret *= (bindings[child._arg] if k is _VARIABLE
+                            else child._arg if k is _CONSTANT else walk(child, bindings))
+                return ret
+            if op is _VARIABLE:
+                return bindings[node._arg]
+            if op is _CONSTANT:
+                return node._arg
+            if op is _DEEP_OP:
+                return _deep_value(node, bindings, walk)
+            if op is _BAD_ARITY:
+                raise IndexError(f"{node.kind} node with {len(node._right)} children")
+            raise TypeError(f"not a node kind: {node.kind!r}")
         if op is _POWER:
-            child = node._left
-            k = child._op
-            base = (bindings[child._arg] if k is _VARIABLE
-                    else child._arg if k is _CONSTANT else walk(child, bindings))
-            child = node._right
-            k = child._op
-            exponent = (bindings[child._arg] if k is _VARIABLE
-                        else child._arg if k is _CONSTANT else walk(child, bindings))
+            k = left._op
+            base = (bindings[left._arg] if k is _VARIABLE
+                    else left._arg if k is _CONSTANT else walk(left, bindings))
+            right = node._right
+            k = right._op
+            exponent = (bindings[right._arg] if k is _VARIABLE
+                        else right._arg if k is _CONSTANT else walk(right, bindings))
             try:
                 return math.pow(base, exponent)
             except (ValueError, OverflowError):
                 return _power(base, exponent)
-        if op is _SUM_FOLD:
-            if not folds:
-                raise ArityMismatchError(_SUM, len(node._right), "exactly 2 (binary form)")
-            ret = -0.0  # the exact additive identity: -0.0 + v is v, sign of zero included
-            for child in node._right:  # a fold's children tuple
-                k = child._op
-                ret += (bindings[child._arg] if k is _VARIABLE
-                        else child._arg if k is _CONSTANT else walk(child, bindings))
-            return ret
         if op is _SUM:
-            left = node._left
             k = left._op
             a = (bindings[left._arg] if k is _VARIABLE
                  else left._arg if k is _CONSTANT else walk(left, bindings))
@@ -197,17 +222,7 @@ def _walker(folds: bool):
             k = right._op
             return a + (bindings[right._arg] if k is _VARIABLE
                         else right._arg if k is _CONSTANT else walk(right, bindings))
-        if op is _PRODUCT_FOLD:
-            if not folds:
-                raise ArityMismatchError(_PRODUCT, len(node._right), "exactly 2 (binary form)")
-            ret = 1.0
-            for child in node._right:
-                k = child._op
-                ret *= (bindings[child._arg] if k is _VARIABLE
-                        else child._arg if k is _CONSTANT else walk(child, bindings))
-            return ret
         if op is _PRODUCT:
-            left = node._left
             k = left._op
             a = (bindings[left._arg] if k is _VARIABLE
                  else left._arg if k is _CONSTANT else walk(left, bindings))
@@ -216,50 +231,38 @@ def _walker(folds: bool):
             return a * (bindings[right._arg] if k is _VARIABLE
                         else right._arg if k is _CONSTANT else walk(right, bindings))
         if op is _UNARY_FN:
-            child = node._left
-            k = child._op
-            arg = (bindings[child._arg] if k is _VARIABLE
-                   else child._arg if k is _CONSTANT else walk(child, bindings))
+            k = left._op
+            arg = (bindings[left._arg] if k is _VARIABLE
+                   else left._arg if k is _CONSTANT else walk(left, bindings))
             try:
                 return UNARY_FUNCTIONS[node._arg](arg)
             except (ValueError, OverflowError):
                 return _CHECKED_CALLS[node._arg](arg)
-        if op is _VARIABLE:
-            return bindings[node._arg]
         if op is _DIFFERENCE:
-            child = node._left
-            k = child._op
-            a = (bindings[child._arg] if k is _VARIABLE
-                 else child._arg if k is _CONSTANT else walk(child, bindings))
-            child = node._right
-            k = child._op
-            return a - (bindings[child._arg] if k is _VARIABLE
-                        else child._arg if k is _CONSTANT else walk(child, bindings))
+            k = left._op
+            a = (bindings[left._arg] if k is _VARIABLE
+                 else left._arg if k is _CONSTANT else walk(left, bindings))
+            right = node._right
+            k = right._op
+            return a - (bindings[right._arg] if k is _VARIABLE
+                        else right._arg if k is _CONSTANT else walk(right, bindings))
         if op is _QUOTIENT:
-            child = node._left
-            k = child._op
-            num = (bindings[child._arg] if k is _VARIABLE
-                   else child._arg if k is _CONSTANT else walk(child, bindings))
-            child = node._right
-            k = child._op
-            den = (bindings[child._arg] if k is _VARIABLE
-                   else child._arg if k is _CONSTANT else walk(child, bindings))
+            k = left._op
+            num = (bindings[left._arg] if k is _VARIABLE
+                   else left._arg if k is _CONSTANT else walk(left, bindings))
+            right = node._right
+            k = right._op
+            den = (bindings[right._arg] if k is _VARIABLE
+                   else right._arg if k is _CONSTANT else walk(right, bindings))
             try:
                 return num / den
             except ZeroDivisionError:
                 return _quotient(num, den)
         if op is _NEGATE:
-            child = node._left
-            k = child._op
-            return -(bindings[child._arg] if k is _VARIABLE
-                     else child._arg if k is _CONSTANT else walk(child, bindings))
-        if op is _CONSTANT:
-            return node._arg
-        if op is _DEEP_OP:
-            return _deep_value(node, bindings, walk)
-        if op is _BAD_ARITY:
-            raise IndexError(f"{node.kind} node with {len(node._right)} children")
-        raise TypeError(f"not a node kind: {node.kind!r}")
+            k = left._op
+            return -(bindings[left._arg] if k is _VARIABLE
+                     else left._arg if k is _CONSTANT else walk(left, bindings))
+        return _deep_value(node, bindings, walk)  # the only other opcode of a slotted node
 
     return walk
 

@@ -170,7 +170,8 @@ class _Slots:
     has no child tuple. Every other node, a leaf, a fold or a node whose
     child count its kind cannot take, has ``_left`` None and its children
     tuple in ``_right``. ``ExprNode.children`` reads either back as a
-    tuple."""
+    tuple, and the walkers (``evaluators._walker``) branch on it before
+    they test ``_op``."""
 
     __slots__ = ("kind", "_arg", "_size", "_op", "_left", "_right")
 

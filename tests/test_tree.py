@@ -275,6 +275,10 @@ def test_equality_hash_and_repr_at_any_depth(text_of):
     assert sys.getrecursionlimit() == limit
 
 
+_TWO_OPERAND_KINDS = (OpKind.SUM, OpKind.PRODUCT, OpKind.DIFFERENCE, OpKind.QUOTIENT, OpKind.POWER)
+_ONE_OPERAND_KINDS = (OpKind.NEGATE, OpKind.UNARY_FN)
+
+
 def _expected_op(node, deep):
     n = len(node.children)
     if any(child._size >= deep for child in node.children):
@@ -325,6 +329,12 @@ def test_opcode_follows_kind_children_and_size_on_every_route(tree, deep):
         for node, _ in _preorder(t):
             assert node._size == 1 + sum(child._size for child in node.children)
             assert node._op is _expected_op(node, deep)
+            # The layout the walkers branch on first: a slotted node carries its kind or the deep mark.
+            n = len(node.children)
+            slotted = n == 2 and node.kind in _TWO_OPERAND_KINDS or n == 1 and node.kind in _ONE_OPERAND_KINDS
+            assert (node._left is not None) is slotted
+            if slotted:
+                assert node._op is node.kind or node._op is _DEEP_OP
 
 
 def _heights(tree):
