@@ -131,9 +131,25 @@ def append_record(path: Path, record: dict) -> None:
 
 
 def unpack(archive: Path, checkout: Path) -> Path:
+    """Unpack the tar ``archive`` into the new directory ``checkout``, under
+    the ``"data"`` filter where the interpreter has one, as Python 3.14 will
+    by default."""
     checkout.mkdir()
-    shutil.unpack_archive(archive, checkout)
+    filtered = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    shutil.unpack_archive(archive, checkout, **filtered)
     return checkout
+
+
+def extract(root: Path, base: str, tmp: Path) -> tuple[str, Path]:
+    """(the commit ``base`` names in the repository at ``root``, a copy of
+    its tree in ``tmp``), packed with ``git archive``, so the copy has no
+    ``.git``."""
+    git = ["git", "--no-optional-locks", "-C", str(root)]  # no lock files, no index refresh
+    base_rev = subprocess.run(git + ["rev-parse", "--verify", f"{base}^{{commit}}"], capture_output=True,
+                              text=True, check=True).stdout.strip()
+    # From the top level: run in a subdirectory, git archive packs only that subtree.
+    subprocess.run(git + ["archive", "--format=tar", f"--output={tmp / 'base.tar'}", base_rev], check=True)
+    return base_rev, unpack(tmp / "base.tar", tmp / _COPIES["base"])
 
 
 def main(argv=None) -> int:
@@ -156,19 +172,17 @@ def main(argv=None) -> int:
 
     spec = json.loads((root / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    base_rev = output("rev-parse", "--verify", f"{args.base}^{{commit}}").strip()
     change_rev = output("rev-parse", "HEAD").strip() + ("+working tree" if output("status", "--porcelain") else "")
     files = output("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0")
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         tmp = Path(tmp)
-        # From the top level: run in a subdirectory, git archive packs only that subtree.
-        subprocess.run(git + ["archive", "--format=tar", f"--output={tmp / 'base.tar'}", base_rev], check=True)
+        base_rev, base_checkout = extract(root, args.base, tmp)
         with tarfile.open(tmp / "change.tar", "w") as tar:
             for name in files:
                 if name and (root / name).exists():  # a file deleted but not yet staged is left out
                     tar.add(root / name, arcname=name, recursive=False)
-        sides = {side: unpack(tmp / f"{side}.tar", tmp / name) for side, name in _COPIES.items()}
+        sides = {"base": base_checkout, "change": unpack(tmp / "change.tar", tmp / _COPIES["change"])}
         for workload in args.workload:
             runs: dict[str, list[dict]] = {"base": [], "change": []}
             for i in range(args.pairs):

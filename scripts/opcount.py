@@ -47,8 +47,13 @@ KEPT = 100  # parses of one text kept at once by ``kept_counts``
 
 
 def opcodes(fn, *args) -> int:
-    """Bytecode instructions executed in Python frames entered by ``fn(*args)``."""
-    count = 0
+    """Bytecode instructions executed in Python frames entered by ``fn(*args)``.
+
+    ``fn(*args)`` runs once first in a tracing session of its own, whose
+    count is dropped: from CPython 3.12, ``sys.settrace`` runs on PEP 669
+    monitoring, and a code object's first session delivers no ``opcode``
+    events when ``f_trace_opcodes`` is set from the ``call`` event, so a
+    fresh function would count 0."""
 
     def local(frame, event, arg):
         nonlocal count
@@ -61,11 +66,13 @@ def opcodes(fn, *args) -> int:
         return local
 
     previous = sys.gettrace()
-    sys.settrace(call)
-    try:
-        fn(*args)
-    finally:
-        sys.settrace(previous)
+    for _ in range(2):
+        count = 0
+        sys.settrace(call)
+        try:
+            fn(*args)
+        finally:
+            sys.settrace(previous)
     return count
 
 

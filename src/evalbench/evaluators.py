@@ -24,12 +24,11 @@ from .errors import (
 )
 from .parser import DEFAULT_SYMBOLS, SymbolTable, interpret_string
 from .tree import (
-    _BAD_ARITY,
     _CHECKED_CALLS,
+    _ONE_OPERAND,
+    _TWO_OPERANDS,
     UNARY_FUNCTIONS,
     _DEEP_OP,
-    _PRODUCT_FOLD,
-    _SUM_FOLD,
     Bindings,
     ExprNode,
     OpKind,
@@ -150,17 +149,17 @@ def _walker(folds: bool):
     so a walker is entered only at interior nodes and at the root.
 
     The layout-first rule: a walker branches on ``tree._Slots``'s layout
-    before it tests an opcode. A node with operand slots carries only its
-    kind or ``_DEEP_OP``, and any other node only a fold, a leaf,
-    ``_DEEP_OP`` or ``_BAD_ARITY``, so no node tests the other layout's
-    opcodes and a root leaf passes no interior kind's test. A node built
-    directly with a child count its kind cannot take raises ``IndexError``,
-    too few and too many alike.
+    before it tests an opcode, which is the node's kind or ``_DEEP_OP``.
+    By the layout, a sum or product with a children tuple is a fold, and
+    any other interior kind with one has a child count the kind cannot
+    take: built directly so, it raises ``IndexError``, too few and too many
+    alike. No node tests the other layout's opcodes, and a root leaf passes
+    no interior kind's test.
 
     The one-call-per-collapsed-node rule: a sum or product of two children
     runs the same code in both walkers; only the nodes ``flatten`` merged
-    carry a fold opcode, which ``nary_value`` folds and ``binary_value``
-    rejects with ``ArityMismatchError``. So on an unmarked tree (see
+    fold: ``nary_value`` folds them, ``binary_value`` rejects them with
+    ``ArityMismatchError``. So on an unmarked tree (see
     ``tree._DEEP``) the n-ary form saves one call per node ``flatten``
     removed. A marked node goes to ``_deep_value``, where the binary form
     takes a marked spine's operands as steps, not calls, so there the n-ary
@@ -168,14 +167,14 @@ def _walker(folds: bool):
 
     def walk(node, bindings):
         # Within each layout, branches by how often the benchmark workloads
-        # meet them. Children tuple: sum-fold, product-fold, the leaves (met
+        # meet them. Children tuple: a sum or product fold, the leaves (met
         # only at the root), a deep fold, a bad arity, then a kind that is no
         # kind. Operand slots: power, sum, product, function, difference,
         # quotient, negation, then a deep node, met only at the root.
         op = node._op
         left = node._left
         if left is None:
-            if op is _SUM_FOLD:
+            if op is _SUM:
                 if not folds:
                     raise ArityMismatchError(_SUM, len(node._right), "exactly 2 (binary form)")
                 ret = -0.0  # the exact additive identity: -0.0 + v is v, sign of zero included
@@ -184,7 +183,7 @@ def _walker(folds: bool):
                     ret += (bindings[child._arg] if k is _VARIABLE
                             else child._arg if k is _CONSTANT else walk(child, bindings))
                 return ret
-            if op is _PRODUCT_FOLD:
+            if op is _PRODUCT:
                 if not folds:
                     raise ArityMismatchError(_PRODUCT, len(node._right), "exactly 2 (binary form)")
                 ret = 1.0
@@ -199,7 +198,7 @@ def _walker(folds: bool):
                 return node._arg
             if op is _DEEP_OP:
                 return _deep_value(node, bindings, walk)
-            if op is _BAD_ARITY:
+            if op in _TWO_OPERANDS or op in _ONE_OPERAND:
                 raise IndexError(f"{node.kind} node with {len(node._right)} children")
             raise TypeError(f"not a node kind: {node.kind!r}")
         if op is _POWER:

@@ -134,8 +134,6 @@ _ONE_OPERAND = tuple(kind for kind, (lo, _) in _ARITY.items() if lo == 1)
 _CONSTANT = OpKind.CONSTANT
 _VARIABLE = OpKind.VARIABLE
 _UNARY_FN = OpKind.UNARY_FN
-_SUM = OpKind.SUM
-_PRODUCT = OpKind.PRODUCT
 
 #: The depth rule. A node is marked ``_DEEP_OP`` when it is built if one of
 #: its children has at least ``_DEEP`` nodes. An unmarked node's children are
@@ -147,13 +145,10 @@ _PRODUCT = OpKind.PRODUCT
 #: marked. At least 1, so that no leaf is marked. Read when a node is built.
 _DEEP = 300
 
-# The ``_op`` markers that stand in for a node's kind: a node marked by
-# ``_DEEP``'s rule, a sum or product with other than two children, and a
-# node of another interior kind whose child count that kind cannot take.
+# The one ``_op`` rule: a node's opcode is its kind, or this marker if
+# ``_DEEP``'s rule marks the node. A fold or a bad child count is said by the
+# layout (``_Slots``) and the kind, not by the opcode.
 _DEEP_OP = "deep"
-_SUM_FOLD = "sum-fold"
-_PRODUCT_FOLD = "product-fold"
-_BAD_ARITY = "bad-arity"
 
 
 class _Slots:
@@ -171,7 +166,8 @@ class _Slots:
     child count its kind cannot take, has ``_left`` None and its children
     tuple in ``_right``. ``ExprNode.children`` reads either back as a
     tuple, and the walkers (``evaluators._walker``) branch on it before
-    they test ``_op``."""
+    they test ``_op``, the kind or ``_DEEP_OP``: so a sum or product with a
+    children tuple is a fold."""
 
     __slots__ = ("kind", "_arg", "_size", "_op", "_left", "_right")
 
@@ -182,11 +178,8 @@ def _Node(kind, arg, size, children, left=None, right=None):
     is None, over the operands ``left`` and, for two, ``right``, which the
     caller gives only where that rule keeps them.
 
-    ``_op`` is the node's kind, except that a node marked by ``_DEEP``'s
-    rule gets ``_DEEP_OP``, and otherwise a node that keeps a children tuple
-    gets ``_SUM_FOLD`` or ``_PRODUCT_FOLD`` if it is a sum or product, so
-    only the nodes ``flatten`` merged fold, and ``_BAD_ARITY`` if it is of
-    another interior kind."""
+    ``_op`` is the node's kind, or ``_DEEP_OP`` if ``_DEEP``'s rule marks
+    the node."""
     if children:
         n = len(children)
         if n == 2 and kind in _TWO_OPERANDS:
@@ -201,12 +194,6 @@ def _Node(kind, arg, size, children, left=None, right=None):
     if left is None:
         node._left = None
         node._right = children
-        if kind is _SUM:
-            op = _SUM_FOLD
-        elif kind is _PRODUCT:
-            op = _PRODUCT_FOLD
-        elif kind is not _CONSTANT and kind is not _VARIABLE and kind in _ARITY:
-            op = _BAD_ARITY
         if size > _DEEP:
             for child in children:
                 if child._size >= _DEEP:

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import subprocess
+import warnings
 from pathlib import Path
 
 import pytest
@@ -77,3 +78,16 @@ def test_runs_both_sides_from_copies_and_appends_a_record_per_table(tmp_path, mo
     # The two copies' paths have one length.
     assert len({len(str(checkout)) for _, checkout in ran}) == 1
     assert not any(ROOT in parent.parents or parent.exists() for parent in parents)
+
+
+def test_extraction_warns_of_nothing(tmp_path):
+    # Python 3.12 and 3.13 warn of an unfiltered tar extraction, whose default 3.14 changes.
+    archive = tmp_path / "base.tar"
+    subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", f"--output={archive}", "HEAD", "scripts"],
+                   check=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        checkout = bench_pairs.unpack(archive, tmp_path / "before")
+    script = "scripts/bench_pairs.py"
+    assert (checkout / script).read_bytes() == subprocess.run(
+        ["git", "-C", str(ROOT), "show", f"HEAD:{script}"], capture_output=True, check=True).stdout

@@ -157,6 +157,9 @@ def test_malformed_tree_index_error_is_not_relabelled():
                 ev(node, Bindings((0.5, 2.0)))
         with pytest.raises(TypeError):  # not a RecursionError
             ev(ExprNode("bogus"), Bindings())
+        # a kind that is no kind is named when it is walked, not when it is built
+        with pytest.raises(TypeError, match="not a node kind"):
+            ev(ExprNode([]), Bindings())
 
 
 @pytest.mark.parametrize("kind, identity", [(OpKind.SUM, -0.0), (OpKind.PRODUCT, 1.0)])
@@ -174,7 +177,7 @@ def test_binary_walk_rejects_a_three_child_sum_at_any_size():
     x, y = make_variable(0), make_variable(1)
     b = Bindings((0.5, 0.25))
     deep = parse_to_tree("-".join(["x"] * 200))  # 399 nodes: walked by the explicit-stack loop
-    for first, op in ((x, tree_module._SUM_FOLD), (deep, tree_module._DEEP_OP)):
+    for first, op in ((x, OpKind.SUM), (deep, tree_module._DEEP_OP)):
         tree = make_op(OpKind.SUM, (first, y, x))
         assert tree._op is op
         with pytest.raises(ArityMismatchError) as info:
@@ -513,10 +516,10 @@ def test_binary_walk_checks_a_whole_spine_before_evaluating_it(deep, op, kind):
 @pytest.mark.parametrize(
     "text, op",
     [
-        pytest.param("+".join(["1.5*x^2*y^3"] * 4000), tree_module._SUM_FOLD, id="sum-of-terms"),
-        pytest.param("*".join(["x^0.0003"] * 4000), tree_module._PRODUCT_FOLD, id="product-of-powers"),
+        pytest.param("+".join(["1.5*x^2*y^3"] * 4000), OpKind.SUM, id="sum-of-terms"),
+        pytest.param("*".join(["x^0.0003"] * 4000), OpKind.PRODUCT, id="product-of-powers"),
         # Operands of 299 nodes, one short of the bound; then one of 300.
-        pytest.param(_sum_of_nested_sin([298] * 40), tree_module._SUM_FOLD, id="sum-of-299-node-operands"),
+        pytest.param(_sum_of_nested_sin([298] * 40), OpKind.SUM, id="sum-of-299-node-operands"),
         pytest.param(_sum_of_nested_sin([298] * 39 + [299]), tree_module._DEEP_OP, id="one-300-node-operand"),
     ],
 )

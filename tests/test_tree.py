@@ -31,7 +31,7 @@ from evalbench import (
 )
 import evalbench.evaluators as evaluators
 import evalbench.tree as tree_module
-from evalbench.tree import _DEEP_OP, _PRODUCT_FOLD, _SUM_FOLD, _preorder
+from evalbench.tree import _DEEP_OP, _preorder
 from strategies import handbuilt_binary_tree, handbuilt_nary_tree, random_tree, to_source, trees
 
 _XYZ = SymbolTable(("x", "y", "z"))
@@ -280,13 +280,8 @@ _ONE_OPERAND_KINDS = (OpKind.NEGATE, OpKind.UNARY_FN)
 
 
 def _expected_op(node, deep):
-    n = len(node.children)
     if any(child._size >= deep for child in node.children):
         return _DEEP_OP
-    if node.kind is OpKind.SUM and n != 2:
-        return _SUM_FOLD
-    if node.kind is OpKind.PRODUCT and n != 2:
-        return _PRODUCT_FOLD
     return node.kind
 
 
@@ -329,12 +324,10 @@ def test_opcode_follows_kind_children_and_size_on_every_route(tree, deep):
         for node, _ in _preorder(t):
             assert node._size == 1 + sum(child._size for child in node.children)
             assert node._op is _expected_op(node, deep)
-            # The layout the walkers branch on first: a slotted node carries its kind or the deep mark.
+            # The layout the walkers branch on first.
             n = len(node.children)
             slotted = n == 2 and node.kind in _TWO_OPERAND_KINDS or n == 1 and node.kind in _ONE_OPERAND_KINDS
             assert (node._left is not None) is slotted
-            if slotted:
-                assert node._op is node.kind or node._op is _DEEP_OP
 
 
 def _heights(tree):
