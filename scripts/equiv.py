@@ -27,8 +27,10 @@ An outcome is a value's bits (so its sign, a zero's included), the
 exception's type and message. The base revision is extracted into a
 temporary directory by ``scripts/bench_pairs.py``'s ``extract``, and each
 side runs in its own interpreter, this one, on the package under its
-``src``. The script prints the totals and the first mismatches, and
-exits 1 on any mismatch. Run it from anywhere in the repo.
+``src``. The two sides' outcomes are matched by label, which is unique
+within a side. The script prints the totals, the first mismatches and the
+mismatches per root label, and exits 1 on any mismatch. Run it from
+anywhere in the repo.
 """
 
 import argparse
@@ -44,6 +46,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -307,22 +310,35 @@ def outcomes(src: Path, corpus_path: Path, out_path: Path) -> str:
     return proc.stdout.strip()
 
 
-def compare(base_path: Path, change_path: Path) -> tuple[int, int, list[tuple[str, str, str]]]:
-    """(outcomes compared, mismatches, the first ``SHOWN`` mismatches as
-    (label, base, change)); a label that differs, or a file that ends
-    first, is a mismatch too."""
-    total, mismatches, first = 0, 0, []
-    with open(base_path) as base, open(change_path) as change:
-        for b, c in itertools.zip_longest(base, change):
-            total += 1
-            if b == c:
-                continue
-            mismatches += 1
+def _read(path: Path) -> dict[str, str]:
+    """The outcomes in the file at ``path``, by label, in file order; a
+    label that repeats is an error."""
+    read = {}
+    with open(path) as lines:
+        for line in lines:
+            label, shown = json.loads(line)
+            if label in read:
+                raise SystemExit(f"the label {label!r} repeats in {path}")
+            read[label] = shown
+    return read
+
+
+def compare(base_path: Path, change_path: Path) -> tuple[int, int, list[tuple[str, str, str]], Counter]:
+    """(labels compared, mismatches, the first ``SHOWN`` mismatches as
+    (label, base, change), mismatches per root label, the text before a
+    label's first ``:``). Outcomes are matched by label, so an outcome that
+    only one side writes is one mismatch, and shifts no other."""
+    base, change = _read(base_path), _read(change_path)
+    missing = "(no such outcome)"
+    labels = base | change  # the base's labels in order, then the change's own
+    first, roots = [], Counter()
+    for label in labels:
+        b, c = base.get(label, missing), change.get(label, missing)
+        if b != c:
+            roots[label.split(":")[0]] += 1
             if len(first) < SHOWN:
-                b_label, b_shown = json.loads(b) if b else ("(none)", "(the base's outcomes ended)")
-                c_label, c_shown = json.loads(c) if c else ("(none)", "(the change's outcomes ended)")
-                first.append((b_label if b_label == c_label else f"{b_label} | {c_label}", b_shown, c_shown))
-    return total, mismatches, first
+                first.append((label, b, c))
+    return len(labels), sum(roots.values()), first, roots
 
 
 def main(argv=None) -> int:
@@ -352,13 +368,17 @@ def main(argv=None) -> int:
             imported = outcomes(src, corpus_path, tmp / f"{side}.jsonl")
             if not Path(imported).resolve().is_relative_to(src.resolve()):
                 raise SystemExit(f"the {side} run imported evalbench from {imported}, not from {src}")
-        total, mismatches, first = compare(tmp / "base.jsonl", tmp / "change.jsonl")
+        total, mismatches, first, roots = compare(tmp / "base.jsonl", tmp / "change.jsonl")
 
     print(f"{len(items)} texts (seed {SEED}), {total} outcomes under {sys.implementation.name} "
           f"{sys.version.split()[0]}, base {args.base} ({base_rev[:12]}) -> working tree: "
           f"{mismatches} mismatches")
     for label, base, change in first:
         print(f"  {label}\n    base:   {base[:300]}\n    change: {change[:300]}")
+    if roots:
+        print("mismatches per root label:")
+        for root, count in roots.items():
+            print(f"  {count:7d}  {root}")
     return 1 if mismatches else 0
 
 

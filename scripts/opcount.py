@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Bytecode instructions per evaluation and per parse, and what a parse keeps, on the paper suite and on long chains, base against working tree.
+"""Bytecode instructions per evaluation, per parse and per flatten, and what a parse keeps, on the paper suite and on long chains, base against working tree.
 
     python3 scripts/opcount.py                 # base HEAD, so the uncommitted change is counted
     python3 scripts/opcount.py --base HEAD~1
@@ -9,7 +9,8 @@ the bytecode instructions that one evaluation at the point (0.3, 0.7)
 executes, with ``sys.settrace`` and ``frame.f_trace_opcodes``: black-box
 (the routine itself), n-ary (``nary_value`` on the flattened tree), binary
 (``binary_value`` on the parsed tree) and string (``eval_string`` on the
-text). The last column counts one ``parse_to_tree`` of the text. A second
+text). The last two columns count one ``parse_to_tree`` of the text and
+one ``flatten`` of its parsed tree. A second
 table gives the string and parse counts per node on four short long-chains
 texts, a sum and a product of 8 and of 32 terms, drawn by perfbench's own
 ``gen.chain`` (seed 1), which the script loads from the working tree
@@ -38,7 +39,7 @@ import tracemalloc
 from pathlib import Path
 
 METHODS = ("blackbox", "nary", "binary", "string")
-COLUMNS = METHODS + ("parse",)
+COLUMNS = METHODS + ("parse", "flatten")
 POINT = (0.3, 0.7)
 ROOT = Path(__file__).resolve().parent.parent
 CHAIN_COLUMNS = ("string", "parse")
@@ -77,8 +78,9 @@ def opcodes(fn, *args) -> int:
 
 
 def cell_counts() -> dict[int, dict[str, int]]:
-    """Per paper expression, instructions per evaluation of each method and
-    per ``parse_to_tree``, for the ``evalbench`` on ``sys.path``."""
+    """Per paper expression, instructions per evaluation of each method,
+    per ``parse_to_tree`` and per ``flatten`` of the parsed tree, for the
+    ``evalbench`` on ``sys.path``."""
     from evalbench import Bindings, blackbox_lookup, eval_string, flatten, parse_to_tree
     from evalbench.benchmark import EXPRESSIONS
     from evalbench.evaluators import binary_value, nary_value
@@ -93,6 +95,7 @@ def cell_counts() -> dict[int, dict[str, int]]:
             "binary": opcodes(binary_value, tree, b),
             "string": opcodes(eval_string, text, None, b),
             "parse": opcodes(parse_to_tree, text),
+            "flatten": opcodes(flatten, tree),
         }
     return counts
 
@@ -196,7 +199,7 @@ def main(argv=None) -> int:
         base, base_chains, base_kept = counted(Path(tmp) / "src")
     change, change_chains, change_kept = counted(ROOT / "src")
 
-    print(f"instructions per evaluation at {POINT} and per parse, base {args.base} -> working tree")
+    print(f"instructions per evaluation at {POINT}, per parse and per flatten, base {args.base} -> working tree")
     print(f"{'expr':6}" + "".join(f"{m:>22}" for m in COLUMNS))
     for eid in sorted(change):
         cells = "".join(f"{f'{base[eid][m]} -> {change[eid][m]} ({change[eid][m] - base[eid][m]:+d})':>22}"

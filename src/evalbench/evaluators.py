@@ -25,8 +25,6 @@ from .errors import (
 from .parser import DEFAULT_SYMBOLS, SymbolTable, interpret_string
 from .tree import (
     _CHECKED_CALLS,
-    _ONE_OPERAND,
-    _TWO_OPERANDS,
     UNARY_FUNCTIONS,
     _DEEP_OP,
     Bindings,
@@ -150,11 +148,9 @@ def _walker(folds: bool):
 
     The layout-first rule: a walker branches on ``tree._Slots``'s layout
     before it tests an opcode, which is the node's kind or ``_DEEP_OP``.
-    By the layout, a sum or product with a children tuple is a fold, and
-    any other interior kind with one has a child count the kind cannot
-    take: built directly so, it raises ``IndexError``, too few and too many
-    alike. No node tests the other layout's opcodes, and a root leaf passes
-    no interior kind's test.
+    By the layout, a sum or product with a children tuple is a fold. No
+    node tests the other layout's opcodes, and a root leaf passes no
+    interior kind's test.
 
     The one-call-per-collapsed-node rule: a sum or product of two children
     runs the same code in both walkers; only the nodes ``flatten`` merged
@@ -168,9 +164,9 @@ def _walker(folds: bool):
     def walk(node, bindings):
         # Within each layout, branches by how often the benchmark workloads
         # meet them. Children tuple: a sum or product fold, the leaves (met
-        # only at the root), a deep fold, a bad arity, then a kind that is no
-        # kind. Operand slots: power, sum, product, function, difference,
-        # quotient, negation, then a deep node, met only at the root.
+        # only at the root), then a deep fold. Operand slots: power, sum,
+        # product, function, difference, quotient, negation, then a deep
+        # node, met only at the root.
         op = node._op
         left = node._left
         if left is None:
@@ -196,11 +192,7 @@ def _walker(folds: bool):
                 return bindings[node._arg]
             if op is _CONSTANT:
                 return node._arg
-            if op is _DEEP_OP:
-                return _deep_value(node, bindings, walk)
-            if op in _TWO_OPERANDS or op in _ONE_OPERAND:
-                raise IndexError(f"{node.kind} node with {len(node._right)} children")
-            raise TypeError(f"not a node kind: {node.kind!r}")
+            return _deep_value(node, bindings, walk)  # the only other opcode of a node with a children tuple
         if op is _POWER:
             k = left._op
             base = (bindings[left._arg] if k is _VARIABLE
@@ -273,7 +265,7 @@ binary_value.__doc__ = """Evaluate a binary-form tree; every sum and product has
 
 nary_value = _walker(folds=True)
 nary_value.__name__ = nary_value.__qualname__ = "nary_value"
-nary_value.__doc__ = """Evaluate any valid tree, folding sums and products over all children;
+nary_value.__doc__ = """Evaluate any tree, folding sums and products over all children;
     an unbound variable raises ``IndexError``."""
 
 
@@ -303,8 +295,6 @@ def _deep_value(node: ExprNode, bindings: tuple[float, ...], walker) -> float:
             operands = _spine(child, binary)
             n = len(operands)
             acc = -0.0 if kind is _SUM else 1.0
-        elif child._left is None:  # a child count the kind cannot take, as in the walker
-            raise IndexError(f"{kind} node with {len(child._right)} children")
         else:  # fixed arity
             operands = child.children
             n = len(operands)
@@ -425,7 +415,7 @@ def eval_binary(tree: ExprNode, bindings, *, nan_on_fault: bool = False) -> Eval
 
 
 def eval_nary(tree: ExprNode, bindings, *, nan_on_fault: bool = False) -> EvalOutcome:
-    """``evaluate(EvalMethod.NARY_TREE, ...)``: evaluate any valid tree with
+    """``evaluate(EvalMethod.NARY_TREE, ...)``: evaluate any tree with
     the n-ary fold; ``visits`` is its node count."""
     return evaluate(_NARY_TREE, tree, bindings, nan_on_fault=nan_on_fault)
 

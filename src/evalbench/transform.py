@@ -31,9 +31,8 @@ _MERGEABLE = 5
 def flatten(tree: ExprNode) -> ExprNode:
     """Tree semantically equal to ``tree`` with no sum-under-sum or
     product-under-product edge, sharing every subtree of ``tree`` that has
-    nothing to merge; ``flatten(flatten(t)) is flatten(t)``. Total on valid
-    trees at any depth. ``tree`` is assumed valid: a directly built
-    ``ExprNode`` is not checked."""
+    nothing to merge; ``flatten(flatten(t)) is flatten(t)``. Total at any
+    depth."""
     if tree._op is _DEEP_OP:
         return _flatten_deep(tree)
     out: list[ExprNode] = []

@@ -5,24 +5,24 @@ children, which ``children`` reads as a tuple; ``_Slots`` says where a
 node keeps them. The payload is a constant's value, a variable's index or a
 function's name; the public fields ``value``, ``var_index`` and ``fn_name``
 read it, each ``None`` where the kind does not use it. Nodes are immutable
-after construction; the ``make_*`` constructors validate the arity rules
-once, so everything downstream may rely on them.
+after construction, and every node is valid: ``ExprNode(...)`` checks the
+kind, the children, the arity rules and the payload, so everything
+downstream may rely on them.
 
 Every node also stores its subtree's node count when it is built, so
 ``count_nodes`` is O(1). A subtree shared by several parents counts once
 per occurrence, exactly as a walk would enter it.
 
-Every node is built by one route, ``_Node``: ``make_*``, ``ExprNode(...)``,
-the parser, ``flatten`` and ``_rebuild`` (pickling and copying) all end
-there. It checks nothing and takes the node count from its caller, so only
-code whose own input rules guarantee the arity rules calls it directly: the
-parser (the lexer rejects non-finite constants, the symbol table admits
-only known function names and the grammar fixes every arity), ``flatten``
-(which only regroups a valid tree's children) and ``_rebuild``. Public
-callers use ``make_*``; ``ExprNode(...)`` is not checked. ``_Node`` alone
-chooses a node's layout and sets the private opcode ``_op`` the walkers
-dispatch on, both derived from the other fields, so equality, hashing,
-``repr`` and pickling ignore them.
+Every node is built by one route, ``_Node``. It checks nothing and takes
+the node count from its caller. ``ExprNode(...)`` checks a node and then
+calls it, and ``make_*`` and ``_rebuild`` (pickling and copying) call
+``ExprNode(...)``. Only code whose own input rules guarantee a valid node
+calls ``_Node`` directly: the parser (the lexer rejects non-finite
+constants, the symbol table admits only known function names and the
+grammar fixes every arity) and ``flatten`` (which only regroups a valid
+tree's children). ``_Node`` alone chooses a node's layout and sets the
+private opcode ``_op`` the walkers dispatch on, both derived from the other
+fields, so equality, hashing, ``repr`` and pickling ignore them.
 
 A point is an exact ``tuple`` of finite floats, which ``Bindings`` builds
 and checks. It is a plain tuple, not a subclass, so that CPython
@@ -125,10 +125,6 @@ _ARITY = {
     OpKind.NEGATE: (1, 1),
     OpKind.UNARY_FN: (1, 1),
 }
-# The interior kinds, by the child count that they keep in the operand
-# slots: their least. Tuples, not a dict: an enum member hashes in Python.
-_TWO_OPERANDS = tuple(kind for kind, (lo, _) in _ARITY.items() if lo == 2)
-_ONE_OPERAND = tuple(kind for kind, (lo, _) in _ARITY.items() if lo == 1)
 
 
 _CONSTANT = OpKind.CONSTANT
@@ -159,15 +155,13 @@ class _Slots:
     function call's name, or None. One slot for all three leaves room for
     the operand slots inside the allocator's 80-byte class.
 
-    The layout rule: a sum, product, difference, quotient or power of two
-    children, and a negation or function call of one, keep them in
-    ``_left`` and ``_right`` (None for one), so the node is one object and
-    has no child tuple. Every other node, a leaf, a fold or a node whose
-    child count its kind cannot take, has ``_left`` None and its children
-    tuple in ``_right``. ``ExprNode.children`` reads either back as a
-    tuple, and the walkers (``evaluators._walker``) branch on it before
-    they test ``_op``, the kind or ``_DEEP_OP``: so a sum or product with a
-    children tuple is a fold."""
+    The layout rule: a node of one or two children keeps them in ``_left``
+    and ``_right`` (None for one), so the node is one object and has no
+    child tuple. Every other node, a leaf or a fold, has ``_left`` None and
+    its children tuple in ``_right``. ``ExprNode.children`` reads either
+    back as a tuple, and the walkers (``evaluators._walker``) branch on it
+    before they test ``_op``, the kind or ``_DEEP_OP``: so a sum or product
+    with a children tuple is a fold."""
 
     __slots__ = ("kind", "_arg", "_size", "_op", "_left", "_right")
 
@@ -182,9 +176,9 @@ def _Node(kind, arg, size, children, left=None, right=None):
     the node."""
     if children:
         n = len(children)
-        if n == 2 and kind in _TWO_OPERANDS:
+        if n == 2:
             left, right = children
-        elif n == 1 and kind in _ONE_OPERAND:
+        elif n == 1:
             left = children[0]
     node = _Slots()
     node.kind = kind
@@ -210,17 +204,45 @@ def _Node(kind, arg, size, children, left=None, right=None):
 
 
 class ExprNode(_Slots):
-    """One immutable tree node. Build through the ``make_*`` constructors;
-    ``ExprNode(...)`` is not checked, and ``flatten`` and the evaluators
-    assume a valid tree. Equality, hashing and ``repr`` use no recursion,
-    and neither do pickling and copying, so all of them work at any depth."""
+    """One immutable tree node, checked when it is built: an ``OpKind``,
+    children that meet its arity rule (a leaf has none), and the payload
+    that the kind uses, as ``make_*`` state it. A payload that the kind does
+    not use is ignored, save a function name on another interior kind.
+    Equality, hashing and ``repr`` use no recursion, and neither do
+    pickling and copying, so all of them work at any depth."""
 
     __slots__ = ()
 
     def __new__(cls, kind, value=None, var_index=None, fn_name=None, children=()):
-        arg = (value if kind is _CONSTANT else var_index if kind is _VARIABLE
-               else fn_name if kind is _UNARY_FN else None)
+        if not isinstance(kind, OpKind):
+            raise TypeError(f"kind must be an OpKind, got {kind!r}")
         children = tuple(children)
+        for child in children:
+            if not isinstance(child, ExprNode):
+                raise TypeError(f"children must be ExprNode, got {type(child).__name__}")
+        lo, hi = _ARITY.get(kind, (0, 0))
+        if len(children) < lo or (hi is not None and len(children) > hi):
+            raise ArityMismatchError(kind, len(children), f">= {lo}" if hi is None else f"exactly {lo}")
+        if kind is _CONSTANT:
+            arg = float(value)
+            if not math.isfinite(arg):
+                raise NonFiniteValueError(f"constant must be finite, got {arg!r}")
+        elif kind is _VARIABLE:
+            arg = var_index
+            if not isinstance(arg, int) or isinstance(arg, bool) or arg < 0:
+                raise ValueError(f"variable index must be a non-negative integer, got {arg!r}")
+        elif kind is _UNARY_FN:
+            arg = fn_name
+            if arg is None:
+                raise UnknownFunctionError("UNARY_FN requires a function name")
+            if arg not in UNARY_FUNCTIONS:
+                raise UnknownFunctionError(
+                    f"unsupported function {arg!r}; supported: {', '.join(sorted(UNARY_FUNCTIONS))}"
+                )
+        elif fn_name is not None:
+            raise UnknownFunctionError(f"{kind.name} does not take a function name")
+        else:
+            arg = None
         return _Node(kind, arg, 1 + sum(child._size for child in children), children)
 
     @property
@@ -276,28 +298,25 @@ def _shapes(tree: ExprNode) -> tuple:
 
 def _rebuild(shapes: tuple) -> ExprNode:
     """The tree whose ``_shapes`` are ``shapes``, built from the last node
-    back with an explicit stack, so pickling and copying work at any depth."""
+    back with an explicit stack, so pickling and copying work at any depth.
+    A pickle comes from outside the program, so each node is checked, by
+    ``ExprNode(...)``, which reads its kind's payload from ``arg``."""
     built: list[ExprNode] = []  # the subtrees built so far, the leftmost on top
     for kind, arg, n in reversed(shapes):
         children = tuple(built[:-n - 1:-1])
         del built[len(built) - n:]
-        built.append(_Node(kind, arg, 1 + sum(c._size for c in children), children))
+        built.append(ExprNode(kind, arg, arg, arg, children))
     return built[0]
 
 
 def make_constant(v: float) -> ExprNode:
     """Constant leaf holding the finite value ``v``."""
-    v = float(v)
-    if not math.isfinite(v):
-        raise NonFiniteValueError(f"constant must be finite, got {v!r}")
-    return ExprNode(OpKind.CONSTANT, value=v)
+    return ExprNode(_CONSTANT, value=v)
 
 
 def make_variable(i: int) -> ExprNode:
     """Variable leaf for index ``i`` (0 is conventionally x, 1 is y)."""
-    if not isinstance(i, int) or isinstance(i, bool) or i < 0:
-        raise ValueError(f"variable index must be a non-negative integer, got {i!r}")
-    return ExprNode(OpKind.VARIABLE, var_index=i)
+    return ExprNode(_VARIABLE, var_index=i)
 
 
 def make_op(kind: OpKind, children: Iterable[ExprNode], fn_name: str | None = None) -> ExprNode:
@@ -307,27 +326,9 @@ def make_op(kind: OpKind, children: Iterable[ExprNode], fn_name: str | None = No
     quotient / power exactly two, negate and unary functions exactly one.
     ``fn_name`` is required for (and only for) UNARY_FN.
     """
-    rule = _ARITY.get(kind)
-    if rule is None:
+    if kind is _CONSTANT or kind is _VARIABLE:
         raise LeafKindError(f"{kind.name} is a leaf kind; use make_constant/make_variable")
-    kids = tuple(children)
-    for child in kids:
-        if not isinstance(child, ExprNode):
-            raise TypeError(f"children must be ExprNode, got {type(child).__name__}")
-    lo, hi = rule
-    if len(kids) < lo or (hi is not None and len(kids) > hi):
-        expected = f">= {lo}" if hi is None else (f"exactly {lo}" if lo == hi else f"{lo}..{hi}")
-        raise ArityMismatchError(kind, len(kids), expected)
-    if kind is OpKind.UNARY_FN:
-        if fn_name is None:
-            raise UnknownFunctionError("UNARY_FN requires a function name")
-        if fn_name not in UNARY_FUNCTIONS:
-            raise UnknownFunctionError(
-                f"unsupported function {fn_name!r}; supported: {', '.join(sorted(UNARY_FUNCTIONS))}"
-            )
-    elif fn_name is not None:
-        raise UnknownFunctionError(f"{kind.name} does not take a function name")
-    return ExprNode(kind, fn_name=fn_name, children=kids)
+    return ExprNode(kind, fn_name=fn_name, children=children)
 
 
 def Bindings(values: Iterable[float] = ()) -> tuple[float, ...]:
@@ -360,7 +361,7 @@ def _raise_unbound(indices: Iterable[int | None], bound: int) -> None:
     """Raise ``UnboundVariableError`` for the first of ``indices`` (variable
     reads in reading order, None for other reads) outside ``bound`` values."""
     for index in indices:
-        if index is not None and not -bound <= index < bound:
+        if index is not None and index >= bound:
             raise UnboundVariableError(index) from None
 
 

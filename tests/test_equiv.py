@@ -68,8 +68,25 @@ def test_a_planted_mismatch_exits_1(tmp_path, monkeypatch, capsys):
     assert not any(src.exists() or ROOT in src.parents for src in (ran[0], ran[2]))
 
 
+def _write(path, outcomes):
+    path.write_text("".join(json.dumps(list(outcome)) + "\n" for outcome in outcomes))
+
+
 def test_outcomes_that_end_early_are_a_mismatch(tmp_path):
     base, change = tmp_path / "base.jsonl", tmp_path / "change.jsonl"
-    base.write_text(json.dumps(["a", "1"]) + "\n" + json.dumps(["b", "2"]) + "\n")
-    change.write_text(json.dumps(["a", "1"]) + "\n")
-    assert equiv.compare(base, change) == (2, 1, [("b | (none)", "2", "(the change's outcomes ended)")])
+    _write(base, [("a", "1"), ("b: walk", "2")])
+    _write(change, [("a", "1")])
+    assert equiv.compare(base, change) == (2, 1, [("b: walk", "2", "(no such outcome)")], {"b": 1})
+
+
+def test_an_outcome_on_one_side_only_is_one_mismatch(tmp_path):
+    base, change = tmp_path / "base.jsonl", tmp_path / "change.jsonl"
+    outcomes = [(f"t{i}: p{p}", str(i * p)) for i in range(3) for p in range(2)]
+    _write(base, outcomes)
+    _write(change, outcomes[:3] + [("t1: built", "raise ValueError: no")] + outcomes[3:])
+    assert equiv.compare(base, change) == (7, 1, [("t1: built", "(no such outcome)", "raise ValueError: no")],
+                                           {"t1": 1})
+    # A label that repeats within one side is an error.
+    _write(change, outcomes + outcomes[-1:])
+    with pytest.raises(SystemExit, match="repeats"):
+        equiv.compare(base, change)

@@ -13,7 +13,6 @@ from evalbench import (
     DomainFaultError,
     EvalMethod,
     EvalOutcome,
-    ExprNode,
     MethodSourceMismatchError,
     OpKind,
     SymbolTable,
@@ -130,47 +129,6 @@ def test_unbound_variable_index_at_every_entry_point(entry, values):
         call(values)
     # the first variable read with no value: x when nothing is bound, else z
     assert exc.value.index == (index if values else 0)
-
-
-def test_malformed_tree_index_error_is_not_relabelled():
-    # a fixed-arity node with too few children is an IndexError, never a
-    # ValueError or an unbound variable
-    x = make_variable(0)
-    malformed = [ExprNode(OpKind.NEGATE), ExprNode(OpKind.UNARY_FN, fn_name="sin"), ExprNode(OpKind.POWER)]
-    malformed += [ExprNode(kind, children=(x,)) for kind in (OpKind.DIFFERENCE, OpKind.QUOTIENT, OpKind.POWER)]
-    # and so is one with too many, which is not half-read; a child marked
-    # deep sends the node to the explicit-stack loop, which rejects both alike
-    y, deep = make_variable(1), parse_to_tree("-".join(["x"] * 200))
-    assert deep._op is tree_module._DEEP_OP
-    malformed.append(ExprNode(OpKind.DIFFERENCE, children=(deep,)))
-    too_many = [ExprNode(OpKind.POWER, children=(x, y, x)), ExprNode(OpKind.NEGATE, children=(x, y)),
-                ExprNode(OpKind.UNARY_FN, fn_name="sin", children=(x, y)), ExprNode(OpKind.POWER, children=(deep, y, x)),
-                ExprNode(OpKind.NEGATE, children=(deep, y))]
-    for ev in (eval_binary, eval_nary):
-        with pytest.raises(IndexError):
-            ev(ExprNode(OpKind.NEGATE), Bindings())
-        for node in malformed:
-            with pytest.raises(IndexError):
-                ev(node, Bindings((0.5,)))
-        for node in too_many:
-            with pytest.raises(IndexError):
-                ev(node, Bindings((0.5, 2.0)))
-        with pytest.raises(TypeError):  # not a RecursionError
-            ev(ExprNode("bogus"), Bindings())
-        # a kind that is no kind is named when it is walked, not when it is built
-        with pytest.raises(TypeError, match="not a node kind"):
-            ev(ExprNode([]), Bindings())
-
-
-@pytest.mark.parametrize("kind, identity", [(OpKind.SUM, -0.0), (OpKind.PRODUCT, 1.0)])
-def test_short_sums_and_products_fold_under_nary_only(kind, identity):
-    b = Bindings((0.5,))
-    for children in ((), (make_variable(0),)):
-        node = ExprNode(kind, children=children)
-        assert float.hex(nary_value(node, b)) == float.hex(0.5 if children else identity)
-        with pytest.raises(ArityMismatchError) as info:
-            binary_value(node, b)
-        assert info.value.kind is kind and info.value.got == len(children)
 
 
 def test_binary_walk_rejects_a_three_child_sum_at_any_size():

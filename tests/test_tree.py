@@ -43,6 +43,9 @@ def test_make_constant():
     assert node.value == 1.0
     assert node.children == ()
     assert make_constant(0.0).value == 0.0
+    # an int value is stored as a float by every route
+    for node in (make_constant(1), ExprNode(OpKind.CONSTANT, value=1), pickle.loads(pickle.dumps(make_constant(1)))):
+        assert type(node.value) is float and node.value == 1.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -106,6 +109,52 @@ def test_make_op_rejects_non_nodes():
         make_op(OpKind.SUM, (make_variable(0), 1.0))
 
 
+class _Shapes:
+    """Pickles as a call of ``tree._rebuild`` on ``shapes``: a crafted payload."""
+
+    def __init__(self, shapes):
+        self.shapes = shapes
+
+    def __reduce__(self):
+        return tree_module._rebuild, (self.shapes,)
+
+
+@pytest.mark.parametrize(
+    "kind, fields, n, error",
+    [
+        (OpKind.VARIABLE, {"var_index": -1}, 0, ValueError),
+        (OpKind.VARIABLE, {"var_index": True}, 0, ValueError),
+        (OpKind.CONSTANT, {"value": math.inf}, 0, NonFiniteValueError),
+        (OpKind.CONSTANT, {"value": None}, 0, TypeError),
+        (OpKind.UNARY_FN, {"fn_name": "foo"}, 1, UnknownFunctionError),
+        ("bogus", {}, 0, TypeError),
+        (OpKind.NEGATE, {}, 0, ArityMismatchError),
+        (OpKind.SUM, {}, 1, ArityMismatchError),
+        (OpKind.POWER, {}, 3, ArityMismatchError),
+        (OpKind.CONSTANT, {"value": 1.0}, 1, ArityMismatchError),
+        (OpKind.VARIABLE, {"var_index": 0}, 2, ArityMismatchError),
+    ],
+    ids=["variable-1", "variable-True", "constant-inf", "constant-None", "function-foo", "bogus-kind",
+         "negate-of-0", "sum-of-1", "power-of-3", "constant-of-1", "variable-of-2"],
+)
+def test_no_route_builds_a_malformed_node(kind, fields, n, error):
+    # ExprNode(...), make_* where one applies, and unpickling a payload
+    # crafted for _rebuild all raise the typed error where the node is built.
+    children = (make_variable(0),) * n
+    arg = next(iter(fields.values()), None)
+    shapes = ((kind, arg, n),) + ((OpKind.VARIABLE, 0, 0),) * n
+    routes = [lambda: ExprNode(kind, children=children, **fields), lambda: pickle.loads(pickle.dumps(_Shapes(shapes)))]
+    if kind is OpKind.CONSTANT and not n:
+        routes.append(lambda: make_constant(arg))
+    elif kind is OpKind.VARIABLE and not n:
+        routes.append(lambda: make_variable(arg))
+    elif kind not in (OpKind.CONSTANT, OpKind.VARIABLE):
+        routes.append(lambda: make_op(kind, children, fields.get("fn_name")))
+    for route in routes:
+        with pytest.raises(error):
+            route()
+
+
 def test_is_binary_form():
     assert is_binary_form(handbuilt_binary_tree())
     assert not is_binary_form(handbuilt_nary_tree())
@@ -154,11 +203,14 @@ def test_payload_fields_are_none_where_the_kind_does_not_use_them():
             assert (getattr(node, field) is None) is (used.get(node.kind) != field)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(node, field, 1.0)
-    # a direct ExprNode(...) keeps only the payload its kind uses
-    odd = ExprNode(OpKind.SUM, value=1.0, var_index=0, fn_name="sin", children=(make_variable(0),) * 2)
+    # a direct ExprNode(...) keeps only the payload its kind uses, and
+    # rejects a function name on another interior kind, as make_op does
+    odd = ExprNode(OpKind.SUM, value=1.0, var_index=0, children=(make_variable(0),) * 2)
     assert (odd.value, odd.var_index, odd.fn_name) == (None, None, None)
     assert odd == make_op(OpKind.SUM, (make_variable(0),) * 2)
     assert ExprNode(OpKind.VARIABLE, value=2.0, var_index=3).value is None
+    with pytest.raises(UnknownFunctionError, match="SUM does not take a function name"):
+        ExprNode(OpKind.SUM, fn_name="sin", children=(make_variable(0),) * 2)
 
 
 def test_nodes_fit_the_80_byte_allocation_class():
@@ -275,10 +327,6 @@ def test_equality_hash_and_repr_at_any_depth(text_of):
     assert sys.getrecursionlimit() == limit
 
 
-_TWO_OPERAND_KINDS = (OpKind.SUM, OpKind.PRODUCT, OpKind.DIFFERENCE, OpKind.QUOTIENT, OpKind.POWER)
-_ONE_OPERAND_KINDS = (OpKind.NEGATE, OpKind.UNARY_FN)
-
-
 def _expected_op(node, deep):
     if any(child._size >= deep for child in node.children):
         return _DEEP_OP
@@ -324,10 +372,8 @@ def test_opcode_follows_kind_children_and_size_on_every_route(tree, deep):
         for node, _ in _preorder(t):
             assert node._size == 1 + sum(child._size for child in node.children)
             assert node._op is _expected_op(node, deep)
-            # The layout the walkers branch on first.
-            n = len(node.children)
-            slotted = n == 2 and node.kind in _TWO_OPERAND_KINDS or n == 1 and node.kind in _ONE_OPERAND_KINDS
-            assert (node._left is not None) is slotted
+            # The layout the walkers branch on first: by the child count alone.
+            assert (node._left is not None) is (len(node.children) in (1, 2))
 
 
 def _heights(tree):
