@@ -10,12 +10,12 @@ token soups; fresh-exprs texts (``gen.random_expr``) and one random
 one-character edit of each; the long-chains texts (``gen.chain``);
 deep-nesting edge cases around the depth bound ``tree._DEEP``; and the paper
 texts with some picked by hand. Each text goes through ``eval_string``,
-``interpret_string`` and ``evaluate(STRING_PARSE, ..., nan_on_fault=True)``
-at five points (``POINTS``, the last one short), and once through
-``parse_to_tree`` and ``flatten``; the parsed and the flat tree go through
-``binary_value``, ``nary_value`` and ``evaluate(..., nan_on_fault=True)``
-under both tree methods at the same points. The black-box routines, and
-sources of the wrong shape, go through ``evaluate`` under every method.
+``interpret_string`` and ``evaluate(STRING_PARSE, ...)`` at five points
+(``POINTS``, the last one short), and once through ``parse_to_tree`` and
+``flatten``; the parsed and the flat tree go through ``binary_value``,
+``nary_value`` and ``evaluate`` under both tree methods at the same
+points. The black-box routines, and sources of the wrong shape, go through
+``evaluate`` under every method.
 Then, under ``tree._DEEP`` = 300 and 3, trees from every build route (the
 parser, ``make_*`` and ``ExprNode(...)``, and ``ExprNode(...)`` of every
 interior kind and of ``"bogus"`` with 0 to 4 children), each also
@@ -24,13 +24,15 @@ walked by the tree calls at the same points.
 
 An outcome is a value's bits (so its sign, a zero's included), the
 ``visits`` beside it, a tree's ``count_nodes`` and ``to_sexpr``, or an
-exception's type and message. The base revision is extracted into a
-temporary directory by ``scripts/bench_pairs.py``'s ``extract``, and each
-side runs in its own interpreter, this one, on the package under its
-``src``. The two sides' outcomes are matched by label, which is unique
-within a side. The script prints the totals, the first mismatches and the
-mismatches per root label, and exits 1 on any mismatch. Run it from
-anywhere in the repo.
+exception's type and message, a domain fault's included. Every label
+begins with the label of its corpus item or direct build and a ``:``. The
+base revision is extracted into a temporary directory by
+``scripts/bench_pairs.py``'s ``extract``, and each side runs in its own
+interpreter, this one, on the package under its ``src``. The two sides'
+outcomes are matched by label, which is unique within a side. The script
+prints the totals, the first mismatches and the mismatches per root label,
+the text before its first ``:``, so one line per item or build, and exits 1
+on any mismatch. Run it from anywhere in the repo.
 """
 
 import argparse
@@ -177,7 +179,7 @@ def _walks(record: _Recorder, label: str, tree) -> None:
         record(f"{label}: binary_value p{p}", binary_value, tree, b)
         record(f"{label}: nary_value p{p}", nary_value, tree, b)
         for method in (EvalMethod.BINARY_TREE, EvalMethod.NARY_TREE):
-            record(f"{label}: evaluate {method.name} p{p}", lambda: evaluate(method, tree, b, nan_on_fault=True))
+            record(f"{label}: evaluate {method.name} p{p}", evaluate, method, tree, b)
 
 
 def _remake(tree, build):
@@ -216,22 +218,23 @@ def _through_node(node, children):
 
 def _trees(record: _Recorder, label: str, roots: list) -> None:
     """Each of ``roots``, a (name, tree) pair, and its flat form, each also
-    pickled and copied: compared by shape and walked."""
+    pickled and copied: compared by shape and walked, under labels that
+    begin with ``label`` and a ``:``."""
     from evalbench import flatten
 
     built = []
     for name, tree in roots:
         built.append((name, tree))
-        flat = record(f"{label} {name}: flatten", flatten, tree)
+        flat = record(f"{label}: {name}: flatten", flatten, tree)
         if flat is not None:
             built.append((f"{name} flat", flat))
     copies = (("pickled", lambda t: pickle.loads(pickle.dumps(t))), ("copy", copy.copy), ("deepcopy", copy.deepcopy))
     for name, tree in built:
-        _walks(record, f"{label} {name}", tree)
+        _walks(record, f"{label}: {name}", tree)
         for how, make in copies:
-            copied = record(f"{label} {name} {how}", make, tree)
+            copied = record(f"{label}: {name} {how}", make, tree)
             if copied is not None:
-                _walks(record, f"{label} {name} {how}", copied)
+                _walks(record, f"{label}: {name} {how}", copied)
 
 
 def _direct_nodes(record: _Recorder, prefix: str) -> None:
@@ -248,7 +251,7 @@ def _direct_nodes(record: _Recorder, prefix: str) -> None:
     for kind, (pool, children), n in itertools.product(kinds, pools.items(), range(5)):
         fn_name = "sin" if kind is OpKind.UNARY_FN else None
         label = f"{prefix}direct {getattr(kind, 'name', kind)} of {n} {pool}"
-        node = record(label, lambda: ExprNode(kind, fn_name=fn_name, children=children[:n]))
+        node = record(f"{label}: ExprNode", lambda: ExprNode(kind, fn_name=fn_name, children=children[:n]))
         if node is not None:
             _trees(record, label, [("node", node)])
 
@@ -266,17 +269,16 @@ def run_side(items: list[tuple[str, str, bool]], out) -> None:
             b = Bindings(point)
             record(f"{label}: eval_string p{p}", eval_string, text, None, b)
             record(f"{label}: interpret_string p{p}", interpret_string, text, DEFAULT_SYMBOLS, b)
-            record(f"{label}: evaluate STRING_PARSE p{p}",
-                   lambda: evaluate(EvalMethod.STRING_PARSE, text, b, nan_on_fault=True))
+            record(f"{label}: evaluate STRING_PARSE p{p}", evaluate, EvalMethod.STRING_PARSE, text, b)
         tree = record(f"{label}: parse_to_tree", parse_to_tree, text)
         if tree is not None:
-            _walks(record, f"{label} parsed", tree)
+            _walks(record, f"{label}: parsed", tree)
             flat = record(f"{label}: flatten", flatten, tree)
             if flat is not None:
-                _walks(record, f"{label} flat", flat)
+                _walks(record, f"{label}: flat", flat)
     sources = ["x+y", record("source 1: parse_to_tree", parse_to_tree, "x+y"), 0, 1, 8, 9, True, 1.0, None]
     for method, (s, source), (p, point) in itertools.product(EvalMethod, enumerate(sources), enumerate(POINTS)):
-        record(f"evaluate {method.name} of source {s} p{p}", lambda: evaluate(method, source, point, nan_on_fault=True))
+        record(f"source {s}: evaluate {method.name} p{p}", evaluate, method, source, point)
 
     deep = tree_module._DEEP
     try:

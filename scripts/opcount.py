@@ -23,8 +23,9 @@ where timings drift. A third table gives, on the same texts less ``e1``
 ``parse_to_tree`` keeps, per interior node of its tree, and which
 ``flatten`` then keeps besides, per interior node of the flat tree; these
 counts are exact too. The base revision is extracted
-with ``git archive`` into a temporary directory, and each side is counted
-in its own interpreter. The tables give both sides' counts and the change.
+into a temporary directory by ``scripts/bench_pairs.py``'s ``extract``, and
+each side is counted in its own interpreter. The tables give both sides'
+counts and the change.
 """
 
 import argparse
@@ -192,14 +193,15 @@ def main(argv=None) -> int:
         print(json.dumps([cell_counts(), chain_counts(), kept_counts()]))
         return 0
 
+    from bench_pairs import extract  # a sibling script, so its directory leads sys.path
+
     with tempfile.TemporaryDirectory(prefix="opcount-") as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", args.base, "src"],
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        base, base_chains, base_kept = counted(Path(tmp) / "src")
+        base_rev, checkout = extract(ROOT, args.base, Path(tmp))
+        base, base_chains, base_kept = counted(checkout / "src")
     change, change_chains, change_kept = counted(ROOT / "src")
 
-    print(f"instructions per evaluation at {POINT}, per parse and per flatten, base {args.base} -> working tree")
+    print(f"instructions per evaluation at {POINT}, per parse and per flatten, "
+          f"base {args.base} ({base_rev[:12]}) -> working tree")
     print(f"{'expr':6}" + "".join(f"{m:>22}" for m in COLUMNS))
     for eid in sorted(change):
         cells = "".join(f"{f'{base[eid][m]} -> {change[eid][m]} ({change[eid][m] - base[eid][m]:+d})':>22}"

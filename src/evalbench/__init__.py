@@ -46,7 +46,7 @@ from .parser import (
     parse_to_tree,
     tokenize,
 )
-from .transform import flatten, flatten_stats
+from .transform import flatten
 from .tree import (
     UNARY_FUNCTIONS,
     Bindings,

@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple
 
 from .errors import (
     ArityMismatchError,
-    DomainFaultError,
     MethodSourceMismatchError,
     UnknownFunctionIdError,
 )
@@ -56,8 +55,7 @@ class EvalOutcome(NamedTuple):
 
     ``visits`` counts units of work: the tree's node count for the tree
     methods, tokens consumed for direct string evaluation, and 0 for
-    black-box calls, whose interior is opaque by definition. A domain fault
-    turned into NaN by ``nan_on_fault`` leaves it as on success.
+    black-box calls, whose interior is opaque by definition.
     """
 
     value: float
@@ -406,28 +404,19 @@ def _walk_counts(tree: ExprNode) -> tuple[int, int]:
     return entries, steps
 
 
-def eval_binary(tree: ExprNode, bindings, *, nan_on_fault: bool = False) -> EvalOutcome:
+def eval_binary(tree: ExprNode, bindings) -> EvalOutcome:
     """``evaluate(EvalMethod.BINARY_TREE, ...)``: evaluate a binary-form tree;
-    ``visits`` is its node count. With ``nan_on_fault`` a domain fault yields
-    NaN instead of raising, so batch loops are never interrupted by error
-    handling."""
-    return evaluate(_BINARY_TREE, tree, bindings, nan_on_fault=nan_on_fault)
+    ``visits`` is its node count."""
+    return evaluate(_BINARY_TREE, tree, bindings)
 
 
-def eval_nary(tree: ExprNode, bindings, *, nan_on_fault: bool = False) -> EvalOutcome:
+def eval_nary(tree: ExprNode, bindings) -> EvalOutcome:
     """``evaluate(EvalMethod.NARY_TREE, ...)``: evaluate any tree with
     the n-ary fold; ``visits`` is its node count."""
-    return evaluate(_NARY_TREE, tree, bindings, nan_on_fault=nan_on_fault)
+    return evaluate(_NARY_TREE, tree, bindings)
 
 
-def evaluate(
-    method: EvalMethod,
-    source,
-    bindings,
-    *,
-    symbols: SymbolTable | None = None,
-    nan_on_fault: bool = False,
-) -> EvalOutcome:
+def evaluate(method: EvalMethod, source, bindings, *, symbols: SymbolTable | None = None) -> EvalOutcome:
     """Uniform dispatch: route ``source`` to the strategy named by ``method``.
 
     The source shape must match the method, or ``MethodSourceMismatchError``
@@ -435,33 +424,27 @@ def evaluate(
     expression string for STRING_PARSE (``symbols`` applies only there;
     defaults to the x,y table). The tree methods run their walker here: a
     variable past the point's end raises ``UnboundVariableError``, and
-    ``visits`` is the tree's node count. With ``nan_on_fault`` a domain fault
-    gives NaN, under every method, with the method's usual ``visits``; see
-    ``tree``'s fault rule.
+    ``visits`` is the tree's node count. A domain fault raises
+    ``DomainFaultError`` under every method; see ``tree``'s fault rule.
     """
     b = Bindings(bindings)
-    try:
-        if method is _BLACKBOX:
-            if not isinstance(source, int) or isinstance(source, bool):
-                raise MethodSourceMismatchError(f"BLACKBOX needs an int id, got {type(source).__name__}")
-            fn = blackbox_lookup(source)
-            _raise_unbound((0, 1), len(b))
-            return _new_outcome(EvalOutcome, (fn(b[0], b[1]), 0))
-        if method is _BINARY_TREE or method is _NARY_TREE:
-            if not isinstance(source, ExprNode):
-                raise MethodSourceMismatchError(f"{method.name} needs an ExprNode, got {type(source).__name__}")
-            try:
-                value = (binary_value if method is _BINARY_TREE else nary_value)(source, b)
-            except IndexError:
-                _raise_unbound((n.var_index for n, _ in _preorder(source) if n.kind is _VARIABLE), len(b))
-                raise
-            return _new_outcome(EvalOutcome, (value, count_nodes(source)))
-        if method is _STRING_PARSE:
-            if not isinstance(source, str):
-                raise MethodSourceMismatchError(f"STRING_PARSE needs a string, got {type(source).__name__}")
-            return _new_outcome(EvalOutcome, interpret_string(source, symbols or DEFAULT_SYMBOLS, b, nan_on_fault))
-    except DomainFaultError:
-        if not nan_on_fault:
+    if method is _BLACKBOX:
+        if not isinstance(source, int) or isinstance(source, bool):
+            raise MethodSourceMismatchError(f"BLACKBOX needs an int id, got {type(source).__name__}")
+        fn = blackbox_lookup(source)
+        _raise_unbound((0, 1), len(b))
+        return _new_outcome(EvalOutcome, (fn(b[0], b[1]), 0))
+    if method is _BINARY_TREE or method is _NARY_TREE:
+        if not isinstance(source, ExprNode):
+            raise MethodSourceMismatchError(f"{method.name} needs an ExprNode, got {type(source).__name__}")
+        try:
+            value = (binary_value if method is _BINARY_TREE else nary_value)(source, b)
+        except IndexError:
+            _raise_unbound((n.var_index for n, _ in _preorder(source) if n.kind is _VARIABLE), len(b))
             raise
-        return _new_outcome(EvalOutcome, (math.nan, 0 if method is _BLACKBOX else count_nodes(source)))
+        return _new_outcome(EvalOutcome, (value, count_nodes(source)))
+    if method is _STRING_PARSE:
+        if not isinstance(source, str):
+            raise MethodSourceMismatchError(f"STRING_PARSE needs a string, got {type(source).__name__}")
+        return _new_outcome(EvalOutcome, interpret_string(source, symbols or DEFAULT_SYMBOLS, b))
     raise MethodSourceMismatchError(f"unknown method {method!r}")

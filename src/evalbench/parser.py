@@ -46,7 +46,7 @@ import re
 import string
 from typing import NamedTuple
 
-from .errors import DomainFaultError, ParseError, ParseErrorKind
+from .errors import ParseError, ParseErrorKind
 from .tree import (
     _CHECKED_CALLS, UNARY_FUNCTIONS, Bindings, ExprNode, OpKind, _Node, _power, _quotient, _raise_unbound,
 )
@@ -410,23 +410,15 @@ def _value_error(err: Exception, text: str, symbols: SymbolTable, lexemes: list[
     raise err
 
 
-def interpret_string(
-    text: str, symbols: SymbolTable, bindings: tuple[float, ...], nan_on_fault: bool = False
-) -> tuple[float, int]:
+def interpret_string(text: str, symbols: SymbolTable, bindings: tuple[float, ...]) -> tuple[float, int]:
     """Directly evaluate ``text``; returns (value, tokens consumed). A domain
-    fault raises, or with ``nan_on_fault`` gives NaN; see ``tree``'s fault
-    rule."""
+    fault raises; see ``tree``'s fault rule."""
     lexemes = _LEXEMES(text)
     lexemes.append("")
     try:
         return _run(lexemes, text, symbols, bindings, None, _VALUE_ACTIONS), len(lexemes)
     except (ArithmeticError, ValueError, IndexError) as err:
-        try:
-            _value_error(err, text, symbols, lexemes, bindings)
-        except DomainFaultError:
-            if not nan_on_fault:
-                raise
-            return math.nan, len(lexemes)
+        _value_error(err, text, symbols, lexemes, bindings)
 
 
 def eval_string(text: str, symbols: SymbolTable | None = None, bindings=()) -> float:

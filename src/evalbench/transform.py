@@ -16,7 +16,7 @@ nothing.
 
 from operator import attrgetter, is_
 
-from .tree import _DEEP_OP, ExprNode, OpKind, _Node, count_nodes
+from .tree import _DEEP_OP, ExprNode, OpKind, _Node
 
 _SUM = OpKind.SUM
 _PRODUCT = OpKind.PRODUCT
@@ -113,8 +113,3 @@ def _flatten_deep(tree: ExprNode) -> ExprNode:
             continue
         built.append(_Node(node.kind, node._arg, sum(map(_size, kids), 1), tuple(kids)))
     return built[0]
-
-
-def flatten_stats(tree: ExprNode) -> tuple[int, int]:
-    """Node counts before and after flattening: (nodes_before, nodes_after)."""
-    return count_nodes(tree), count_nodes(flatten(tree))

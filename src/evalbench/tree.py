@@ -63,9 +63,6 @@ UNARY_FUNCTIONS = {
 # it as ``DomainFaultError(op, operands)``. No other code builds one, so all
 # four methods name a fault alike. Timed paths apply the bare operator and,
 # on its exception, hand the same operands to the helper, which names it.
-# A fault becomes NaN only under ``evaluators.evaluate``'s ``nan_on_fault``;
-# for a string, ``evaluate`` passes it to ``parser.interpret_string``, whose
-# one scan then gives ``visits``.
 
 
 def _quotient(num: float, den: float) -> float:
@@ -111,9 +108,6 @@ class OpKind(enum.Enum):
     NEGATE = "negate"
     UNARY_FN = "fn"
 
-
-#: Associative kinds whose chains may be collapsed into n-ary nodes.
-ASSOCIATIVE_KINDS = (OpKind.SUM, OpKind.PRODUCT)
 
 # (min, max) child counts for interior kinds; None means unbounded.
 _ARITY = {
@@ -300,12 +294,18 @@ def _rebuild(shapes: tuple) -> ExprNode:
     """The tree whose ``_shapes`` are ``shapes``, built from the last node
     back with an explicit stack, so pickling and copying work at any depth.
     A pickle comes from outside the program, so each node is checked, by
-    ``ExprNode(...)``, which reads its kind's payload from ``arg``."""
+    ``ExprNode(...)``, which reads its kind's payload from ``arg``, and so
+    is each child count, against the subtrees built, which must end as one
+    tree."""
     built: list[ExprNode] = []  # the subtrees built so far, the leftmost on top
     for kind, arg, n in reversed(shapes):
+        if not 0 <= n <= len(built):
+            raise ValueError(f"a node of {n} children over {len(built)} subtrees")
         children = tuple(built[:-n - 1:-1])
         del built[len(built) - n:]
         built.append(ExprNode(kind, arg, arg, arg, children))
+    if len(built) != 1:
+        raise ValueError(f"the shapes make {len(built)} trees, not one")
     return built[0]
 
 
@@ -377,7 +377,7 @@ def _preorder(tree: ExprNode) -> Iterator[tuple[ExprNode, int]]:
 
 def is_binary_form(tree: ExprNode) -> bool:
     """True iff every sum and product node has exactly two children."""
-    return all(node.kind not in ASSOCIATIVE_KINDS or len(node.children) == 2 for node, _ in _preorder(tree))
+    return all(node.kind not in (OpKind.SUM, OpKind.PRODUCT) or len(node.children) == 2 for node, _ in _preorder(tree))
 
 
 def count_nodes(tree: ExprNode) -> int:

@@ -336,3 +336,48 @@ def test_malformed_expressions_exit_nonzero(capsys, expr):
     code, out, err = run(capsys, "eval", "--expr", expr)
     assert code == 1
     assert "^" in err
+
+
+_LEAF_ROOT = "a walk branches on a node's layout first, so a root leaf takes the children-tuple chain"
+_DEEP_FAULT = "a fault under 400 minus signs: the log is marked deep, so the walkers' deep loop names it"
+_TRAILING = "the scan stops at the end of the text: trailing whitespace is no lexeme, and the end sits at len(text)"
+_OPEN_GROUP = ("a group still open at the end: its marker is the grammar loop's top entry, "
+               "kept apart from the stack list")
+_MISSING_OPERAND = "parse error at position 4: unexpected end of input, expected a number, variable, function or '('"
+_DEEP_LOG = "log(" + "-" * 400 + "(x-x))"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err, reason",
+    [
+        *(pytest.param(["eval", "--expr", "x", "--bind", "x=0.5", "--method", method], 0, "0.5\n", "", _LEAF_ROOT,
+                       id=f"{method}-leaf-x")
+          for method in ("binary", "nary")),
+        *(pytest.param(["eval", "--expr", "2.5", "--method", method], 0, "2.5\n", "", _LEAF_ROOT,
+                       id=f"{method}-leaf-2.5")
+          for method in ("binary", "nary")),
+        pytest.param(["eval", "--expr", "1/(x-x)", "--method", "string", "--bind", "x=1"], 2, "",
+                     "evaluation error: domain fault in quotient(1.0, 0.0)",
+                     "a domain fault in the string fold is named by the checked replay", id="string-quotient-fault"),
+        *(pytest.param(["eval", "--expr", _DEEP_LOG, "--method", method, "--bind", "x=1"], 2, "",
+                       "evaluation error: domain fault in log(0.0)", _DEEP_FAULT, id=f"{method}-deep-log-fault")
+          for method in ("binary", "nary", "string")),
+        pytest.param(["eval", "--expr", " x + y ", "--method", "string", "--bind", "x=0.5", "--bind", "y=0.25"], 0,
+                     "0.75\n", "", _TRAILING, id="string-spaced-sum"),
+        *(pytest.param(["eval", "--expr", "x+  ", "--method", method], 1, "", _MISSING_OPERAND, _TRAILING,
+                       id=f"{method}-trailing-space-after-plus")
+          for method in ("string", "binary")),
+        *(pytest.param(["eval", "--expr", "sin(", "--method", method], 1, "",
+                       "parse error at position 4: missing ')'", _OPEN_GROUP, id=f"{method}-open-call")
+          for method in ("string", "binary")),
+        pytest.param(["parse", "--expr", "x+y+1-sin(-x)*2", "--flatten", "--dump"], 0,
+                     "(difference (sum (var 0) (var 1) (const 1.0)) (product (fn sin (negate (var 0))) (const 2.0)))\n",
+                     "", "a fold, two- and one-child nodes and leaves: `children` reads every node layout back alike",
+                     id="parse-flatten-dump"),
+    ],
+)
+def test_console_cases(capsys, argv, code, out, err, reason):
+    # Each case: argv, exit code, stdout and the first line of stderr (a
+    # parse error's caret line follows it).
+    got_code, got_out, got_err = run(capsys, *argv)
+    assert (got_code, got_out, got_err.split("\n")[0]) == (code, out, err), reason

@@ -20,7 +20,7 @@ def test_an_outcome_is_bits_visits_shape_or_the_exception():
     out = io.StringIO()
     record = equiv._Recorder(out)
     assert record("zero", lambda: -0.0) == -0.0
-    record("outcome", lambda: evaluate(EvalMethod.STRING_PARSE, "log(x-x)", (0.5,), nan_on_fault=True))
+    record("outcome", lambda: evaluate(EvalMethod.STRING_PARSE, "log(x+x)", (0.5,)))
     assert record("tree", parse_to_tree, "x+-0.0") is not None
     assert record("fault", parse_to_tree, "x+") is None
     lines = [json.loads(line) for line in out.getvalue().splitlines()]
@@ -28,10 +28,18 @@ def test_an_outcome_is_bits_visits_shape_or_the_exception():
         parse_to_tree("x+")
     assert lines == [
         ["zero", "8000000000000000"],
-        ["outcome", "7ff8000000000000 7"],  # math.nan, after the 7 tokens of log ( x - x ) and the end
+        ["outcome", "0000000000000000 7"],  # log(1.0), after the 7 tokens of log ( x + x ) and the end
         ["tree", "4 nodes (sum (var 0) (negate (const 0.0)))"],
         ["fault", f"raise ParseError: {info.value}"],
     ]
+
+
+def test_every_label_of_a_build_has_the_build_as_its_root():
+    out = io.StringIO()
+    equiv._trees(equiv._Recorder(out), "_DEEP 3 picked 7", [("parsed", parse_to_tree("x+y+1-sin(-x)*2"))])
+    labels = [json.loads(line)[0] for line in out.getvalue().splitlines()]
+    assert "_DEEP 3 picked 7: parsed flat pickled: binary_value p0" in labels
+    assert {label.split(":")[0] for label in labels} == {"_DEEP 3 picked 7"}
 
 
 def test_a_planted_mismatch_exits_1(tmp_path, monkeypatch, capsys):

@@ -161,24 +161,9 @@ def test_domain_faults(tree, op):
         assert exc.value.op == op
 
 
-def test_nan_on_fault_mode():
-    tree = make_op(OpKind.UNARY_FN, (make_constant(-1.0),), fn_name="log")
-    assert math.isnan(eval_binary(tree, Bindings(), nan_on_fault=True).value)
-    assert math.isnan(eval_nary(tree, Bindings(), nan_on_fault=True).value)
-    out = evaluate(EvalMethod.STRING_PARSE, "log(0-1)", Bindings(), nan_on_fault=True)
-    assert math.isnan(out.value)
-    # visits is the whole tree's node count, though the walk stops at the
-    # fault after 3 of the 4 nodes
-    tree = make_op(OpKind.SUM, (tree, make_variable(0)))
-    for ev in (eval_binary, eval_nary):
-        outcome = ev(tree, Bindings((0.5,)), nan_on_fault=True)
-        assert math.isnan(outcome.value)
-        assert outcome.visits == count_nodes(tree) == 4
-
-
-def _outcome_or_fault(method, source, point, nan_on_fault):
+def _outcome_or_fault(method, source, point):
     try:
-        return evaluate(method, source, Bindings(point), nan_on_fault=nan_on_fault).value
+        return evaluate(method, source, Bindings(point)).value
     except DomainFaultError as fault:
         return fault.op, fault.operands
 
@@ -190,14 +175,9 @@ def test_every_method_meets_the_same_fault_outside_the_unit_square(fid, point):
     tree = parse_to_tree(text)
     sources = {EvalMethod.BLACKBOX: fid, EvalMethod.BINARY_TREE: tree,
                EvalMethod.NARY_TREE: flatten(tree), EvalMethod.STRING_PARSE: text}
-    raised = {method: _outcome_or_fault(method, source, point, False) for method, source in sources.items()}
+    raised = {method: _outcome_or_fault(method, source, point) for method, source in sources.items()}
     assert len(set(map(repr, raised.values()))) == 1, raised
-    quiet = [_outcome_or_fault(method, source, point, True) for method, source in sources.items()]
     first = raised[EvalMethod.BLACKBOX]
-    if isinstance(first, tuple):  # a typed fault: NaN under nan_on_fault, whatever the method
-        assert all(math.isnan(value) for value in quiet)
-    else:
-        assert quiet == [first] * 4
     if fid == 6 and point[0] == 1e200:  # (x+y)*x^y overflows to inf, and sin(inf) faults
         assert first == ("sin", (math.inf,))
     elif point[0] != 1e200:
@@ -528,7 +508,7 @@ def test_evaluate_dispatch():
     assert evaluate(EvalMethod.BINARY_TREE, handbuilt_binary_tree(), b).value == 1.75
     assert evaluate(EvalMethod.STRING_PARSE, "x+y+1", b).value == 1.75
     outcomes = [evaluate(EvalMethod.BLACKBOX, 7, b), evaluate(EvalMethod.NARY_TREE, handbuilt_nary_tree(), b),
-                evaluate(EvalMethod.STRING_PARSE, "log(0-1)", b, nan_on_fault=True)]
+                evaluate(EvalMethod.STRING_PARSE, "x+y+1", b)]
     assert all(type(o) is EvalOutcome for o in outcomes)
 
 
@@ -539,9 +519,9 @@ def test_evaluate_visit_conventions():
     assert evaluate(EvalMethod.NARY_TREE, handbuilt_nary_tree(), b).visits == 4
     # string parsing reports tokens consumed; always nonzero
     assert evaluate(EvalMethod.STRING_PARSE, "x+y+1", b).visits == 6
-    # a black-box fault turned into NaN still reports no visits: (-1)^0.5
-    value, visits = evaluate(EvalMethod.BLACKBOX, 3, Bindings((-1.0, 0.5)), nan_on_fault=True)
-    assert math.isnan(value) and visits == 0
+    # a black-box fault raises, as under the other methods: (-1)^0.5
+    with pytest.raises(DomainFaultError):
+        evaluate(EvalMethod.BLACKBOX, 3, Bindings((-1.0, 0.5)))
 
 
 @pytest.mark.parametrize(

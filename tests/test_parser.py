@@ -268,8 +268,6 @@ def test_string_fault_is_the_checked_helpers_fault(monkeypatch, text, checked, o
             run()
         assert (got.value.op, got.value.operands, str(got.value)) == (
             want.value.op, want.value.operands, str(want.value))
-    outcome = evaluate(EvalMethod.STRING_PARSE, text, b, nan_on_fault=True)
-    assert math.isnan(outcome.value) and outcome.visits == len(tokenize(text))
 
 
 @pytest.mark.parametrize(
@@ -606,13 +604,10 @@ def test_whitespace_between_function_name_and_parenthesis(text):
     assert eval_string(text, None, (0.5,)) == eval_string("sin(x)", None, (0.5,))
 
 
-@pytest.mark.parametrize(
-    "text, nan_on_fault", [(" sin (x) +  y ", False), (" sin (x) +  y ", True), (" log (x - x) +  y ", True)]
-)
-def test_string_visits_are_the_token_count(text, nan_on_fault):
+def test_string_visits_are_the_token_count():
     # whitespace is no token; the count includes the END token
-    outcome = evaluate(EvalMethod.STRING_PARSE, text, Bindings((0.5, 2.0)), nan_on_fault=nan_on_fault)
-    assert outcome.visits == len(tokenize(text))
+    text = " sin (x) +  y "
+    assert evaluate(EvalMethod.STRING_PARSE, text, Bindings((0.5, 2.0))).visits == len(tokenize(text)) == 7
 
 
 def test_faulting_string_is_tokenized_once(monkeypatch):
@@ -631,9 +626,8 @@ def test_faulting_string_is_tokenized_once(monkeypatch):
     monkeypatch.setattr(parser_module, "tokenize", counted)
     monkeypatch.setattr(evaluators_module, "tokenize", counted, raising=False)
     monkeypatch.setattr(parser_module, "_LEXEMES", scanned)
-    outcome = evaluate(EvalMethod.STRING_PARSE, "log(x-x)+y", Bindings((0.5, 2.0)), nan_on_fault=True)
-    assert math.isnan(outcome.value) and outcome.visits == len(tokenize("log(x-x)+y"))
-    # the NaN path counts ``visits`` from the scan it made
+    with pytest.raises(DomainFaultError):
+        evaluate(EvalMethod.STRING_PARSE, "log(x-x)+y", Bindings((0.5, 2.0)))
     assert calls == scans == ["log(x-x)+y"]
     with pytest.raises(DomainFaultError):
         eval_string("log(x-x)+y", None, (0.5, 2.0))

@@ -155,6 +155,23 @@ def test_no_route_builds_a_malformed_node(kind, fields, n, error):
             route()
 
 
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        ((OpKind.SUM, None, 5), (OpKind.VARIABLE, 0, 0), (OpKind.VARIABLE, 1, 0)),
+        ((OpKind.VARIABLE, 0, 0), (OpKind.VARIABLE, 1, 0)),
+        ((OpKind.VARIABLE, 0, 0), (OpKind.VARIABLE, 1, 0), (OpKind.VARIABLE, 2, -1)),
+    ],
+    ids=["count-5-over-2-leaves", "two-roots", "count-minus-1"],
+)
+def test_unpickling_rejects_child_counts_that_do_not_fit(shapes):
+    # Each crafted payload used to build some other valid tree.
+    with pytest.raises(ValueError):
+        pickle.loads(pickle.dumps(_Shapes(shapes)))
+    tree = parse_to_tree("x+y+1-sin(-x)*2")
+    assert pickle.loads(pickle.dumps(_Shapes(tree_module._shapes(tree)))) == tree
+
+
 def test_is_binary_form():
     assert is_binary_form(handbuilt_binary_tree())
     assert not is_binary_form(handbuilt_nary_tree())
